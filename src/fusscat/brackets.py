@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from .caps import check_volume
 from .exactmat import binomial
-from .paths import count_paths_det, count_paths_dp, staircase_bounds
+from .paths import (count_paths_det, count_paths_dp, iter_bounded_compositions,
+                    staircase_bounds)
 
 # a prefix-constrained weak composition, as produced by iter_A
 CompositionVector = tuple[int, ...]
@@ -42,28 +43,8 @@ def iter_A(n: int, t: int, p: int, max_volume: int | None = None):
     check_volume(binomial(total + parts - 1, parts - 1), max_volume,
                  what=f"composition enumeration for (n,t,p)=({n},{t},{p})")
 
-    # checkpoint[i] = prefix-sum bound that applies once the first i
-    # entries are fixed (None where no constraint ends at i).
-    checkpoint = [None] * (parts + 1)
-    for k in range(1, p):
-        checkpoint[k * t] = k * (n - t)
-
-    alpha = [0] * parts
-
-    def rec(i, remaining):
-        if i == parts - 1:
-            alpha[i] = remaining
-            yield tuple(alpha)
-            return
-        for v in range(remaining + 1):
-            alpha[i] = v
-            used = total - remaining + v
-            bound = checkpoint[i + 1]
-            if bound is not None and used > bound:
-                break
-            yield from rec(i + 1, remaining - v)
-
-    yield from rec(0, total)
+    upper = {k * t: k * (n - t) for k in range(1, p)}
+    yield from iter_bounded_compositions(total, parts, upper=upper)
 
 
 def enumerate_A(n: int, t: int, p: int, max_volume: int | None = None):
@@ -82,9 +63,9 @@ def gfc(n: int, t: int, p: int, method: str = "det",
     if method == "det":
         return count_paths_det(staircase_bounds(n, t, p))
     if method == "canonical":
-        from .canonical import iter_stair_alphas
+        from .canonical import cm_type_stair
 
-        return sum(1 for _ in iter_stair_alphas(n, t, p, max_volume))
+        return cm_type_stair(n, t, p, max_volume)
     raise ValueError(f"unknown method {method!r}, expected one of {GFC_METHODS}")
 
 

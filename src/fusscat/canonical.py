@@ -17,10 +17,12 @@ uniform or not, via the cone's halfspace description.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .caps import check_volume
 from .cone import ConeRep, ExpVec, in_relint, stair_cone
 from .exactmat import binomial
+from .paths import iter_bounded_compositions
 from .polyomino import Polyomino, StairSpec, krull_dim, stair, stair_spec_from_polyomino
 
 
@@ -64,27 +66,8 @@ def iter_stair_alphas(n: int, t: int, p: int, max_volume: int | None = None):
     check_volume(binomial(total - 1, parts - 1), max_volume,
                  what=f"canonical-generator enumeration for (n,t,p)=({n},{t},{p})")
 
-    checkpoint = [None] * (parts + 1)
-    for k in range(1, p):
-        checkpoint[k * t] = k * n  # strict bound < k*n + 1
-
-    alpha = [0] * parts
-
-    def rec(i, remaining):
-        if i == parts - 1:
-            alpha[i] = remaining
-            yield tuple(alpha)
-            return
-        tail = parts - 1 - i  # entries after this one, each needs >= 1
-        for v in range(1, remaining - tail + 1):
-            alpha[i] = v
-            used = total - remaining + v
-            bound = checkpoint[i + 1]
-            if bound is not None and used > bound:
-                break
-            yield from rec(i + 1, remaining - v)
-
-    yield from rec(0, total)
+    upper = {k * t: k * n for k in range(1, p)}  # strict bound < k*n + 1
+    yield from iter_bounded_compositions(total, parts, 1, upper)
 
 
 def stair_generators(n: int, t: int, p: int,
@@ -107,29 +90,6 @@ def _as_stair_spec(P) -> StairSpec:
     if isinstance(P, Polyomino):
         return stair_spec_from_polyomino(P)
     raise TypeError(f"expected a Polyomino or StairSpec, got {type(P).__name__}")
-
-
-def _iter_compositions(total: int, parts: int, minimum: int):
-    """Compositions of total into the given number of parts, each >=
-    minimum, in lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    out = [0] * parts
-
-    def rec(i, remaining):
-        if i == parts - 1:
-            out[i] = remaining
-            yield tuple(out)
-            return
-        tail = parts - 1 - i
-        for v in range(minimum, remaining - minimum * tail + 1):
-            out[i] = v
-            yield from rec(i + 1, remaining - v)
-
-    if total >= minimum * parts:
-        yield from rec(0, total)
 
 
 def _step_constraints(spec: StairSpec) -> list[tuple[int, int]]:
@@ -163,19 +123,12 @@ def minimal_generators_search(P, degree_max: int,
 
     found: list[ExpVec] = []
     for d in range(max(m, ny), degree_max + 1):
-        for xs in _iter_compositions(d, m, 1):
-            xpre = [0]
-            for v in xs:
-                xpre.append(xpre[-1] + v)
+        for xs in iter_bounded_compositions(d, m, 1):
+            xpre = list(accumulate(xs, initial=0))
             # dot(z, step normal s) >= 1 pins a lower bound on each
             # y-prefix once x is fixed.
-            y_floor = [(alen, xpre[blen] + 1) for blen, alen in constraints]
-            for ys in _iter_compositions(d, ny, 1):
-                ypre = [0]
-                for v in ys:
-                    ypre.append(ypre[-1] + v)
-                if any(ypre[alen] < floor for alen, floor in y_floor):
-                    continue
+            y_floor = {alen: xpre[blen] + 1 for blen, alen in constraints}
+            for ys in iter_bounded_compositions(d, ny, 1, lower=y_floor):
                 z = xs + ys
                 if all(not in_relint(cone, _sub(z, g)) for g in cone.gens):
                     found.append(z)
@@ -204,10 +157,8 @@ def hilbert_function(P, d: int, max_volume: int | None = None) -> int:
 
     constraints = _step_constraints(spec)
     total = 0
-    for xs in _iter_compositions(d, m, 0):
-        xpre = [0]
-        for v in xs:
-            xpre.append(xpre[-1] + v)
+    for xs in iter_bounded_compositions(d, m):
+        xpre = list(accumulate(xs, initial=0))
         floors = {alen: xpre[blen] for blen, alen in constraints}
         # dp[s] = number of y-prefixes with sum s so far
         dp = [1] + [0] * d

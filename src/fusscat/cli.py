@@ -39,10 +39,20 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fusscat", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--max-volume", type=int, default=None,
+    parser.add_argument("--max-volume", type=_nonnegative_int, default=None,
                         help="cap on enumeration volume estimates")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -78,7 +88,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("hilbert", help="Hilbert function and numerator")
     s.add_argument("--u", type=_int_list, required=True)
     s.add_argument("--r", type=_int_list, required=True)
-    s.add_argument("--dmax", type=int, required=True)
+    s.add_argument("--dmax", type=_nonnegative_int, required=True)
 
     sub.add_parser("selftest", help="replay all reference values")
     return parser
@@ -144,6 +154,9 @@ def _run_canonical(args) -> dict:
             raise CliError("give either --n/--t/--p or --u/--r, not a mixture")
         if None in (args.n, args.t, args.p):
             raise CliError("the closed form needs all three of --n, --t, --p")
+        if args.dmax is not None:
+            raise CliError("--dmax applies to the general search (--u/--r), "
+                           "not to the closed form")
         gens = canonical.stair_generators(args.n, args.t, args.p, args.max_volume)
         return {
             "n": args.n, "t": args.t, "p": args.p,

@@ -64,32 +64,11 @@ class Matrix:
                 raise ValueError("ragged rows")
         return cls(nrows, ncols, tuple(x for r in rows for x in r))
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def row_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(ij)
-        return self.entries[i * self.cols + j]
 
 
 def det_exact(m: Matrix) -> int:

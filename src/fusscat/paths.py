@@ -5,12 +5,16 @@ steps is determined by the heights y_1 <= ... <= y_n of its horizontal
 steps, so everything here works on weakly increasing integer sequences
 with b_i <= y_i <= a_i. Three routes are provided: a prefix-sum dynamic
 program, the binomial determinant identity, and (for small instances)
-exhaustive enumeration.
+exhaustive enumeration. The enumeration runs on the package's one
+composition enumerator, iter_bounded_compositions, which also lists the
+bracket's compositions and the canonical-module generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import gt
 
 from .caps import check_volume
 from .exactmat import Matrix, binomial, det_exact
@@ -104,11 +108,70 @@ def count_paths_det(bounds: HeightBounds) -> int:
     return det_exact(path_count_matrix(bounds))
 
 
+def iter_bounded_compositions(total: int, parts: int, minimum: int = 0,
+                              upper: dict[int, int] | None = None,
+                              lower: dict[int, int] | None = None):
+    """Yield the compositions of total into the given number of parts in
+    lexicographic order.
+
+    Every entry is >= minimum, and lower[k] <= sum(c[:k]) <= upper[k] for
+    each prefix length k that the mappings ``lower`` and ``upper`` name.
+    The walk is iterative over the prefix sums, so the number of parts is
+    not limited by the interpreter's recursion depth.
+    """
+    # hi[k], lo[k]: range of the prefix sum of the first k entries. hi is
+    # tightened backwards because each later entry adds at least minimum;
+    # then every prefix kept inside the ranges has a completion, and the
+    # walk never enters a dead end.
+    hi = [total] * (parts + 1)
+    lo = [0] * parts + [total]
+    for k, bound in (upper or {}).items():
+        hi[k] = min(hi[k], bound)
+    for k, bound in (lower or {}).items():
+        lo[k] = max(lo[k], bound)
+    for k in range(parts - 1, -1, -1):
+        hi[k] = min(hi[k], hi[k + 1] - minimum)
+    if lo[0] > 0 or any(map(gt, lo, hi)):
+        return
+    if parts < 2:
+        yield (total,) * parts
+        return
+
+    last = parts - 1
+    prefix = [0] * parts
+    comp = [0] * parts
+    k = 0
+    while True:
+        # fill positions k+1 .. last-1 with their smallest prefix sums
+        for j in range(k + 1, last):
+            s = prefix[j - 1] + minimum
+            if s < lo[j]:
+                s = lo[j]
+            prefix[j] = s
+            comp[j - 1] = s - prefix[j - 1]
+        # the innermost free prefix sum runs over its range; the last
+        # entry takes what is left of total
+        before = prefix[last - 1]
+        for s in range(max(before + minimum, lo[last]), hi[last] + 1):
+            comp[last - 1] = s - before
+            comp[last] = total - s
+            yield tuple(comp)
+        # advance the deepest earlier prefix sum still below its bound
+        k = last - 1
+        while k > 0 and prefix[k] == hi[k]:
+            k -= 1
+        if k <= 0:
+            return
+        prefix[k] += 1
+        comp[k - 1] += 1
+
+
 def iter_height_sequences(bounds: HeightBounds, max_volume: int | None = None):
     """Yield all admissible height sequences in lexicographic order.
 
-    Refuses instances with n > 12 or box volume prod(a_i - b_i + 1)
-    above the cap.
+    A sequence is the prefix sums, shifted by b_1, of n + 1 nonnegative
+    increments summing to a_n - b_1. Refuses instances with n > 12 or box
+    volume prod(a_i - b_i + 1) above the cap.
     """
     a, b = bounds.a, bounds.b
     n = bounds.n
@@ -119,18 +182,12 @@ def iter_height_sequences(bounds: HeightBounds, max_volume: int | None = None):
         volume *= x - y + 1
     check_volume(volume, max_volume, what="height-sequence enumeration")
 
-    prefix = [0] * n
-
-    def rec(i, floor):
-        if i == n:
-            yield tuple(prefix)
-            return
-        lo = floor if floor > b[i] else b[i]
-        for h in range(lo, a[i] + 1):
-            prefix[i] = h
-            yield from rec(i + 1, h)
-
-    yield from rec(0, b[0])
+    base = b[0]
+    upper = {k: a[k - 1] - base for k in range(1, n + 1)}
+    lower = {k: b[k - 1] - base for k in range(1, n + 1)}
+    for steps in iter_bounded_compositions(a[-1] - base, n + 1, 0, upper, lower):
+        # prefix sums without the start and the pinned end
+        yield tuple(accumulate(steps, initial=base))[1:-1]
 
 
 def enumerate_height_sequences(bounds: HeightBounds, max_volume: int | None = None):

@@ -252,15 +252,3 @@ def render_ascii(P: Polyomino) -> str:
         lines.append("".join("#" if (x, y) in cells else "." for x in range(1, max_x + 1)))
     return "\n".join(lines)
 
-
-def to_text(P: Polyomino) -> str:
-    """One 'x y' line per cell, sorted."""
-    return "\n".join(f"{x} {y}" for x, y in P.sorted_cells())
-
-
-def from_text(text: str) -> Polyomino:
-    cells = []
-    for line in text.strip().splitlines():
-        xs, ys = line.split()
-        cells.append((int(xs), int(ys)))
-    return Polyomino.from_cells(cells)

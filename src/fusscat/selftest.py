@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from . import brackets, canonical, cone, paths, polyomino
 from .exactmat import binomial, fuss_catalan
@@ -126,7 +126,7 @@ def check_generator_goldens():
     for n, t, p in ((3, 1, 3), (3, 2, 3)):
         got = [g.alpha for g in canonical.stair_generators(n, t, p)]
         want = load_generator_golden(n, t, p)
-        if got != want:
+        if got != want or len(want) != 55:
             bad.append((n, t, p, len(got), len(want)))
     return not bad, f"mismatches={bad!r}"
 
@@ -171,7 +171,9 @@ def check_cone_certificates(p_max=4, entry_max=3, processes=None):
     if results is None:
         results = [_verify_one(k) for k in keys]
     failed = sorted(k for k, ok in results if not ok)
-    return not failed, f"specs={len(keys)}, failed={failed!r}"
+    # the sweep must reach every spec: entry_max**(2p) of them at length p
+    complete = len(keys) == sum(entry_max ** (2 * p) for p in range(1, p_max + 1))
+    return complete and not failed, f"specs={len(keys)}, failed={failed!r}"
 
 
 def _random_bounds(rng, n_max, height_max):
@@ -180,22 +182,6 @@ def _random_bounds(rng, n_max, height_max):
     b = sorted(rng.randint(0, height_max) for _ in range(n))
     a = [max(x, y) for x, y in zip(a, b)]
     return paths.HeightBounds(tuple(a), tuple(b))
-
-
-def _monotone_seqs(n, height_max):
-    seqs = []
-
-    def rec(prefix, floor):
-        if len(prefix) == n:
-            seqs.append(tuple(prefix))
-            return
-        for v in range(floor, height_max + 1):
-            prefix.append(v)
-            rec(prefix, v)
-            prefix.pop()
-
-    rec([], 0)
-    return seqs
 
 
 def check_path_counters(samples=200, seed=20260808):
@@ -208,7 +194,7 @@ def check_path_counters(samples=200, seed=20260808):
         if paths.count_paths_det(bounds) != paths.count_paths_dp(bounds):
             bad.append(("random", bounds.a, bounds.b))
     for n in range(1, 6):
-        seqs = _monotone_seqs(n, 6)
+        seqs = list(combinations_with_replacement(range(7), n))
         for b in seqs:
             for a in seqs:
                 if any(x < y for x, y in zip(a, b)):
@@ -234,7 +220,7 @@ def check_minimal_generator_search():
         expected = sorted(
             g.exponent_vector() for g in canonical.stair_generators(n, t, p)
         )
-        if found != expected:
+        if found != expected or any(sum(z) != 2 * low for z in found):
             bad.append((n, t, p, len(found), len(expected)))
     return not bad, f"mismatches={bad!r}"
 

@@ -1,20 +1,34 @@
 """Acceptance suite: every shipped reference value, exact, with a stated
 runtime budget per criterion. Run with -s to see the per-criterion PASS
-lines."""
+lines.
 
-import random
+The criteria themselves live in fusscat.selftest.CHECKS; this file adds
+one named test per criterion with its time budget, so the pytest run and
+`fusscat selftest` check the same things.
+"""
+
 import time
 from contextlib import contextmanager
-from itertools import product
 
 import pytest
 
-from fusscat import canonical, cone, exactmat, paths, polyomino
-from fusscat.brackets import GFC_METHODS, gfc
-from fusscat.selftest import load_generator_golden
+from fusscat import selftest
 
-P1 = polyomino.StairSpec((3, 3, 3), (1, 1, 1))
-P2 = polyomino.StairSpec((3, 3, 3), (2, 2, 2))
+# criterion number -> (test name suffix, budget in seconds, keyword arguments)
+CRITERIA = {
+    1: ("bracket_313_all_methods", 1.0, {}),
+    2: ("bracket_323_all_methods", 1.0, {}),
+    3: ("symmetry_and_method_agreement", 60.0, {}),
+    4: ("specializations", 10.0, {}),
+    5: ("generator_lists_match_transcription", 1.0, {}),
+    6: ("krull_dimensions", 1.0, {}),
+    7: ("cone_certificates", 120.0, {}),
+    # a second seed, so the suite samples other bounds than the selftest
+    8: ("path_counter_agreement", 30.0, {"seed": 987654321}),
+    9: ("minimal_generator_search", 300.0, {}),
+    10: ("hilbert_numerators", 300.0, {}),
+    11: ("inner_minor_identity", 30.0, {}),
+}
 
 
 @contextmanager
@@ -33,157 +47,20 @@ def criterion(number, budget_seconds):
     )
 
 
-def test_criterion_1_bracket_313_all_methods():
-    with criterion(1, 1.0):
-        for method in GFC_METHODS:
-            assert gfc(3, 1, 3, method) == 55
-        matrix = paths.path_count_matrix(paths.staircase_bounds(3, 1, 3))
-        assert [list(matrix.row(i)) for i in range(3)] == [
-            [3, 3, 1], [1, 5, 10], [0, 1, 7],
-        ]
+def _acceptance_test(number, check, budget_seconds, kwargs):
+    def test():
+        with criterion(number, budget_seconds):
+            passed, detail = check(**kwargs)
+            assert passed, detail
+
+    return test
 
 
-def test_criterion_2_bracket_323_all_methods():
-    with criterion(2, 1.0):
-        for method in GFC_METHODS:
-            assert gfc(3, 2, 3, method) == 55
-        matrix = paths.path_count_matrix(paths.staircase_bounds(3, 2, 3))
-        assert [list(matrix.row(i)) for i in range(6)] == [
-            [2, 1, 0, 0, 0, 0],
-            [1, 2, 1, 0, 0, 0],
-            [0, 1, 3, 3, 1, 0],
-            [0, 0, 1, 3, 3, 1],
-            [0, 0, 0, 1, 4, 6],
-            [0, 0, 0, 0, 1, 4],
-        ]
-
-
-def test_criterion_3_symmetry_and_method_agreement():
-    with criterion(3, 60.0):
-        for n in range(2, 7):
-            for p in range(1, 5):
-                values = {}
-                for t in range(1, n):
-                    per_method = {m: gfc(n, t, p, m) for m in GFC_METHODS}
-                    assert len(set(per_method.values())) == 1, (n, t, p, per_method)
-                    values[t] = per_method["det"]
-                for t in range(1, n):
-                    assert values[t] == values[n - t], (n, t, p)
-
-
-def test_criterion_4_specializations():
-    with criterion(4, 10.0):
-        for n in range(2, 7):
-            for p in range(1, 5):
-                assert gfc(n, 1, p) == exactmat.fuss_catalan(p + 1, n)
-        for n in range(2, 9):
-            for t in range(1, n):
-                assert gfc(n, t, 1) == exactmat.binomial(n, t)
-
-
-def test_criterion_5_generator_lists_match_transcription():
-    with criterion(5, 1.0):
-        for n, t, p in ((3, 1, 3), (3, 2, 3)):
-            got = [g.alpha for g in canonical.stair_generators(n, t, p)]
-            want = load_generator_golden(n, t, p)
-            assert len(want) == 55
-            assert got == want
-
-
-def test_criterion_6_krull_dimensions():
-    with criterion(6, 1.0):
-        assert polyomino.krull_dim(polyomino.stair(P1)) == 13
-        assert polyomino.krull_dim(polyomino.stair(P2)) == 16
-
-
-def _verify_spec(key):
-    u, r = key
-    report = cone.verify_h_representation(polyomino.StairSpec(u, r))
-    return key, report["all_passed"]
-
-
-def test_criterion_7_cone_certificates():
-    with criterion(7, 120.0):
-        keys = [
-            (u, r)
-            for p in range(1, 5)
-            for u in product((1, 2, 3), repeat=p)
-            for r in product((1, 2, 3), repeat=p)
-        ]
-        assert len(keys) == 9 + 81 + 729 + 6561
-        try:
-            import multiprocessing as mp
-
-            with mp.Pool(min(2, mp.cpu_count() or 1)) as pool:
-                results = pool.map(_verify_spec, keys, chunksize=64)
-        except (ImportError, OSError):
-            results = [_verify_spec(k) for k in keys]
-        failed = [k for k, ok in results if not ok]
-        assert not failed, failed
-
-
-def test_criterion_8_path_counter_agreement():
-    with criterion(8, 30.0):
-        rng = random.Random(987654321)
-        for _ in range(200):
-            n = rng.randint(1, 8)
-            b = sorted(rng.randint(0, 10) for _ in range(n))
-            a = sorted(rng.randint(0, 10) for _ in range(n))
-            a = [max(x, y) for x, y in zip(a, b)]
-            bounds = paths.HeightBounds(tuple(a), tuple(b))
-            assert paths.count_paths_det(bounds) == paths.count_paths_dp(bounds)
-
-        for n in range(1, 6):
-            seqs = []
-
-            def rec(prefix, floor):
-                if len(prefix) == n:
-                    seqs.append(tuple(prefix))
-                    return
-                for v in range(floor, 7):
-                    rec(prefix + [v], v)
-
-            rec([], 0)
-            for b in seqs:
-                for a in seqs:
-                    if any(x < y for x, y in zip(a, b)):
-                        continue
-                    bounds = paths.HeightBounds(a, b)
-                    count = paths.count_paths_dp(bounds)
-                    assert paths.count_paths_det(bounds) == count, (a, b)
-                    assert sum(1 for _ in paths.iter_height_sequences(bounds)) == count, (a, b)
-
-
-def test_criterion_9_minimal_generator_search():
-    with criterion(9, 300.0):
-        for n, t, p in ((3, 1, 3), (3, 2, 3), (2, 1, 2), (3, 1, 2), (3, 2, 2)):
-            spec = polyomino.StairSpec.uniform(n, t, p)
-            first_degree = p * n + 1
-            found = canonical.minimal_generators_search(spec, first_degree + 1)
-            expected = sorted(
-                g.exponent_vector() for g in canonical.stair_generators(n, t, p)
-            )
-            assert found == expected, (n, t, p, len(found), len(expected))
-            assert all(sum(z) == 2 * first_degree for z in found), (n, t, p)
-
-
-def test_criterion_10_hilbert_numerators():
-    with criterion(10, 300.0):
-        assert canonical.hilbert_numerator(P1, 3) == [1, 18, 66, 55]
-        assert canonical.hilbert_numerator(P2, 6) == [1, 36, 318, 960, 1071, 444, 55]
-
-
-def test_criterion_11_inner_minor_identity():
-    with criterion(11, 30.0):
-        for p in range(1, 4):
-            for u in product((1, 2, 3), repeat=p):
-                for r in product((1, 2, 3), repeat=p):
-                    P = polyomino.stair(polyomino.StairSpec(u, r))
-                    m, _ = cone.ambient_box(P)
-                    for iv in polyomino.inner_intervals(P):
-                        left = sorted((iv.a[0], m + iv.a[1], iv.b[0], m + iv.b[1]))
-                        right = sorted((iv.c[0], m + iv.c[1], iv.d[0], m + iv.d[1]))
-                        assert left == right, (u, r, iv)
+# A criterion added to CHECKS without an entry above fails collection.
+for _number, _, _check in selftest.CHECKS:
+    _suffix, _budget, _kwargs = CRITERIA[_number]
+    globals()[f"test_criterion_{_number}_{_suffix}"] = _acceptance_test(
+        _number, _check, _budget, _kwargs)
 
 
 def test_criterion_12_cli_selftest(capsys):

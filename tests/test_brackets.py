@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +10,16 @@ from fusscat.exactmat import binomial, fuss_catalan
 
 
 def brute_force_bracket(n, t, p):
-    """Independent oracle: filter every candidate composition outright."""
+    """Independent oracle: list every weak composition by stars and bars
+    (the bars' positions among total + parts - 1 slots) and filter it
+    outright."""
     parts = p * t + 1
     total = p * (n - t)
+    slots = total + parts - 1
     count = 0
-    for alpha in product(range(total + 1), repeat=parts):
-        if sum(alpha) != total:
-            continue
+    for bars in combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        alpha = [right - left - 1 for left, right in zip(edges, edges[1:])]
         if all(sum(alpha[: k * t]) <= k * (n - t) for k in range(1, p)):
             count += 1
     return count

@@ -130,6 +130,34 @@ class TestHilbertCommand:
         assert doc["hilbert_function"][1] == "31"
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("argv,key,expected", [
+        (("gfc", "--n", "2000", "--t", "1999", "--p", "1", "--method", "enum"),
+         "value", "2000"),
+        (("gfc", "--n", "2000", "--t", "1999", "--p", "1", "--method", "canonical"),
+         "value", "2000"),
+        (("hilbert", "--u", "1", "--r", "2000", "--dmax", "1"), "numerator", [1, 2000]),
+    ], ids=["gfc-enum", "gfc-canonical", "hilbert"])
+    def test_many_parts_answer(self, capsys, argv, key, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert "Traceback" not in err
+        assert json.loads(out)[key] == expected
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (("--max-volume", "-5", "gfc", "--n", "3", "--t", "1", "--p", "3"),
+         "nonnegative"),
+        (("hilbert", "--u", "1", "--r", "1", "--dmax", "-2"), "nonnegative"),
+        (("canonical", "--n", "3", "--t", "1", "--p", "3", "--dmax", "4"), "--dmax"),
+    ], ids=["negative-max-volume", "negative-dmax", "closed-form-dmax"])
+    def test_invalid_input_is_validation_error(self, capsys, argv, fragment):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert fragment in err
+
+
 class TestOutputDiscipline:
     def test_byte_identical_reruns(self, capsys):
         argv = ("gfc", "--n", "3", "--t", "2", "--p", "3", "--method", "all")

@@ -8,7 +8,6 @@ from fusscat.polyomino import (
     Polyomino,
     StairSpec,
     format_stair_spec,
-    from_text,
     inner_intervals,
     is_convex,
     krull_dim,
@@ -16,7 +15,6 @@ from fusscat.polyomino import (
     render_ascii,
     stair,
     stair_spec_from_polyomino,
-    to_text,
     vertex_set,
 )
 
@@ -80,10 +78,6 @@ class TestPolyominoValidation:
     def test_rejects_out_of_quadrant(self):
         with pytest.raises(ValueError):
             Polyomino.from_cells([(0, 1), (1, 1)])
-
-    def test_cell_text_roundtrip(self):
-        P = stair(StairSpec((2, 2), (1, 2)))
-        assert from_text(to_text(P)) == P
 
 
 class TestConvexity:
