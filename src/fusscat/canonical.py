@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .caps import check_volume
-from .cone import ConeRep, ExpVec, in_relint, stair_cone
+from .cone import ExpVec, in_relint, stair_cone
 from .exactmat import binomial
 from .paths import iter_bounded_compositions
 from .polyomino import Polyomino, StairSpec, krull_dim, stair, stair_spec_from_polyomino
@@ -182,10 +182,15 @@ def hilbert_numerator(P, degree_max: int,
     """Coefficients h_0..h_{degree_max} of the Hilbert series numerator,
     i.e. of (sum_d H(d) t^d) * (1 - t)^dim truncated at degree_max."""
     spec = _as_stair_spec(P)
-    dim = krull_dim(stair(spec))
     H = [hilbert_function(spec, d, max_volume) for d in range(degree_max + 1)]
+    return numerator_from_hilbert(H, krull_dim(stair(spec)))
+
+
+def numerator_from_hilbert(H: list[int], dim: int) -> list[int]:
+    """The coefficients of (sum_d H[d] t^d) * (1 - t)^dim up to degree
+    len(H) - 1, from the Hilbert function values H[0..]."""
     coeffs = []
-    for k in range(degree_max + 1):
+    for k in range(len(H)):
         acc = 0
         for j in range(k + 1):
             acc += (-1) ** j * binomial(dim, j) * H[k - j]

@@ -82,7 +82,7 @@ def build_parser() -> _Parser:
     s.add_argument("--p", type=int)
     s.add_argument("--u", type=_int_list)
     s.add_argument("--r", type=_int_list)
-    s.add_argument("--dmax", type=int, default=None,
+    s.add_argument("--dmax", type=_nonnegative_int, default=None,
                    help="search degree bound (general staircase search)")
 
     s = sub.add_parser("hilbert", help="Hilbert function and numerator")
@@ -186,12 +186,12 @@ def _run_hilbert(args) -> dict:
     spec = _spec(args)
     values = [canonical.hilbert_function(spec, d, args.max_volume)
               for d in range(args.dmax + 1)]
-    numerator = canonical.hilbert_numerator(spec, args.dmax, args.max_volume)
+    dim = polyomino.krull_dim(polyomino.stair(spec))
     return {
         "spec": polyomino.format_stair_spec(spec),
-        "dimension": polyomino.krull_dim(polyomino.stair(spec)),
+        "dimension": dim,
         "hilbert_function": [str(v) for v in values],
-        "numerator": numerator,
+        "numerator": canonical.numerator_from_hilbert(values, dim),
     }
 
 

@@ -6,13 +6,15 @@ y-part). For a staircase the cone spanned by these vectors is cut out,
 inside the hyperplane "x-degree = y-degree", by the unit halfspaces
 together with one extra normal per inner step of the staircase. The
 predicates below decide membership and certify extremality and facet
-status by exact rank computations.
+status by exact ranks; facet and dimension ranks are read off the
+bipartite graph whose edges are the generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import cached_property
+from operator import itemgetter, mul
 
 from .exactmat import Matrix, rank_exact
 from .polyomino import Polyomino, StairSpec, format_stair_spec, stair, vertex_set
@@ -84,7 +86,8 @@ class ConeRep:
 
     Invariants (certified by verify_h_representation and the tests, not
     re-checked on every construction): every generator g satisfies
-    dot(g, nu) == 0 and dot(g, a) >= 0 for every a in normals.
+    dot(g, nu) == 0 and dot(g, a) >= 0 for every a in normals, and is an
+    edge vector (`edges` checks this on first use).
     """
 
     gens: tuple[ExpVec, ...]
@@ -96,6 +99,22 @@ class ConeRep:
     @property
     def ambient_dim(self) -> int:
         return self.x_len + self.y_len
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The support (i, j) of each generator e_i + e_j, i < x_len <= j."""
+        out = []
+        for g in self.gens:
+            support = [k for k, v in enumerate(g) if v]
+            if [g[k] for k in support] != [1, 1] or not support[0] < self.x_len <= support[1]:
+                raise ValueError(f"generator {g} is not an x-y edge vector e_i + e_j")
+            out.append(tuple(support))
+        return tuple(out)
+
+    @cached_property
+    def unit_coords(self) -> frozenset[int]:
+        """The coordinates k whose unit normal e_k is listed."""
+        return frozenset(a.index(1) for a in self.normals if 1 in a and sum(map(abs, a)) == 1)
 
 
 def stair_cone(spec: StairSpec) -> ConeRep:
@@ -135,19 +154,20 @@ def in_relint(c: ConeRep, z: ExpVec) -> bool:
     return all(dot(z, a) >= 1 for a in c.normals)
 
 
-def _active_matrix(c: ConeRep, g: ExpVec) -> Matrix:
-    # Unit rows first: the rank elimination then runs almost entirely in
-    # its cheap unit-pivot path.
-    units = []
-    others = []
-    for a in c.normals:
-        if dot(g, a) == 0:
-            nz = [k for k, v in enumerate(a) if v]
-            if len(nz) == 1 and a[nz[0]] == 1:
-                units.append(a)
-            else:
-                others.append(a)
-    return Matrix.from_rows(units + others + [list(c.nu)])
+def _edge_rank(edges) -> int:
+    """Rank of the vectors e_i + e_j over the edges (i, j) of a bipartite
+    graph: vertices touched minus connected components (Valencia-Villarreal,
+    Eur. J. Combin. 24, 2003), i.e. the edges that join two components."""
+    component: dict[int, int] = {}
+    rank = 0
+    for i, j in edges:
+        ci, cj = component.setdefault(i, i), component.setdefault(j, j)
+        if ci != cj:
+            for v, label in component.items():
+                if label == cj:
+                    component[v] = ci
+            rank += 1
+    return rank
 
 
 def is_extreme_generator(c: ConeRep, g: ExpVec) -> bool:
@@ -158,7 +178,14 @@ def is_extreme_generator(c: ConeRep, g: ExpVec) -> bool:
     """
     if g not in c.gens:
         raise ValueError(f"{g} is not a generator of this cone")
-    return rank_exact(_active_matrix(c, g)) == c.ambient_dim - 1
+    i, j = c.edges[c.gens.index(g)]
+    # An active unit normal e_k is the only pivot its column needs: leave
+    # out its row and column, and rank what remains on the other columns.
+    covered = c.unit_coords - {i, j}
+    free = [k for k in range(c.ambient_dim) if k not in covered]
+    active = [a for a in c.normals if a[i] + a[j] == 0] + [c.nu]
+    rows = [row for row in map(itemgetter(*free), active) if any(row)]
+    return rank_exact(Matrix.from_rows(rows)) == len(free) - 1
 
 
 def facet_check(c: ConeRep, a: ExpVec) -> bool:
@@ -169,10 +196,8 @@ def facet_check(c: ConeRep, a: ExpVec) -> bool:
     """
     if a not in c.normals:
         raise ValueError(f"{a} is not one of the cone's inequality normals")
-    on_face = [g for g in c.gens if dot(g, a) == 0]
-    if not on_face:
-        return False
-    return rank_exact(Matrix.from_rows(on_face)) == c.ambient_dim - 2
+    on_face = [(i, j) for i, j in c.edges if a[i] + a[j] == 0]
+    return bool(on_face) and _edge_rank(on_face) == c.ambient_dim - 2
 
 
 def verify_h_representation(spec: StairSpec) -> dict:
@@ -191,10 +216,11 @@ def verify_h_representation(spec: StairSpec) -> dict:
         "generator_count": len(c.gens),
         "normal_count": len(c.normals),
     }
-    containment_fail = [list(g) for g in c.gens if not contains(c, g)]
+    containment_fail = [list(g) for g, (i, j) in zip(c.gens, c.edges)
+                        if c.nu[i] + c.nu[j] != 0 or any(a[i] + a[j] < 0 for a in c.normals)]
     extreme_fail = [list(g) for g in c.gens if not is_extreme_generator(c, g)]
     facet_fail = [list(a) for a in c.normals if not facet_check(c, a)]
-    gen_rank = rank_exact(Matrix.from_rows(c.gens))
+    gen_rank = _edge_rank(c.edges)
     checks = {
         "containment": {"passed": not containment_fail, "failures": containment_fail},
         "extreme_generators": {"passed": not extreme_fail, "failures": extreme_fail},

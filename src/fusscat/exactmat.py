@@ -110,10 +110,7 @@ def rank_exact(m: Matrix) -> int:
     """Exact rank over the rationals, fraction-free with row pivoting.
 
     Same Bareiss update as det_exact, with column skipping for rank
-    deficiency. When the current and previous pivots are both unit (the
-    common case here: unit normals and 0/1 incidence rows, whose minors
-    are all 0 or +-1), the update is a plain row subtraction touching
-    only the pivot row's nonzero columns.
+    deficiency.
     """
     rows = [list(m.row(i)) for i in range(m.rows) if any(m.row(i))]
     ncols = m.cols
@@ -130,22 +127,11 @@ def rank_exact(m: Matrix) -> int:
         rows[rank], rows[piv_at] = rows[piv_at], rows[rank]
         prow = rows[rank]
         piv = prow[col]
-        if piv == prev and (piv == 1 or piv == -1):
-            # (piv*x - y*prow_j)/prev  ==  x - y*prow_j*prev when piv == prev = +-1;
-            # columns where prow_j == 0 are unchanged, so only touch the rest.
-            nz = [(j, prow[j] * prev) for j in range(col, ncols) if prow[j]]
-            for i in range(rank + 1, len(rows)):
-                ri = rows[i]
-                y = ri[col]
-                if y:
-                    for j, v in nz:
-                        ri[j] -= y * v
-        else:
-            for i in range(rank + 1, len(rows)):
-                ri = rows[i]
-                y = ri[col]
-                for j in range(col, ncols):
-                    ri[j] = (piv * ri[j] - y * prow[j]) // prev
+        for i in range(rank + 1, len(rows)):
+            ri = rows[i]
+            y = ri[col]
+            for j in range(col, ncols):
+                ri[j] = (piv * ri[j] - y * prow[j]) // prev
         prev = piv
         rank += 1
         if rank == len(rows):

@@ -146,34 +146,16 @@ def iter_stair_specs(p_max: int, entry_max: int):
                 yield polyomino.StairSpec(u, r)
 
 
-def _verify_one(spec_key):
-    u, r = spec_key
-    report = cone.verify_h_representation(polyomino.StairSpec(u, r))
-    return spec_key, report["all_passed"]
-
-
-def check_cone_certificates(p_max=4, entry_max=3, processes=None):
+def check_cone_certificates(p_max=4, entry_max=3):
     """Criterion 7: the halfspace description of every staircase cone in
     the sweep range is certified (containment, extremality, facets,
     dimension)."""
-    keys = [(s.u, s.r) for s in iter_stair_specs(p_max, entry_max)]
-    results = None
-    if processes is None or processes > 1:
-        try:
-            import multiprocessing as mp
-
-            workers = processes or min(2, mp.cpu_count() or 1)
-            if workers > 1:
-                with mp.Pool(workers) as pool:
-                    results = pool.map(_verify_one, keys, chunksize=64)
-        except (ImportError, OSError):
-            results = None
-    if results is None:
-        results = [_verify_one(k) for k in keys]
-    failed = sorted(k for k, ok in results if not ok)
+    specs = list(iter_stair_specs(p_max, entry_max))
+    failed = sorted((s.u, s.r) for s in specs
+                    if not cone.verify_h_representation(s)["all_passed"])
     # the sweep must reach every spec: entry_max**(2p) of them at length p
-    complete = len(keys) == sum(entry_max ** (2 * p) for p in range(1, p_max + 1))
-    return complete and not failed, f"specs={len(keys)}, failed={failed!r}"
+    complete = len(specs) == sum(entry_max ** (2 * p) for p in range(1, p_max + 1))
+    return complete and not failed, f"specs={len(specs)}, failed={failed!r}"
 
 
 def _random_bounds(rng, n_max, height_max):

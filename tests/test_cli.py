@@ -129,6 +129,22 @@ class TestHilbertCommand:
         assert doc["dimension"] == 13
         assert doc["hilbert_function"][1] == "31"
 
+    def test_each_degree_counted_once(self, capsys, monkeypatch):
+        from fusscat import canonical
+
+        degrees = []
+        hilbert_function = canonical.hilbert_function
+
+        def counting(P, d, max_volume=None):
+            degrees.append(d)
+            return hilbert_function(P, d, max_volume)
+
+        monkeypatch.setattr(canonical, "hilbert_function", counting)
+        doc = run_json(capsys, "hilbert", "--u", "3,3,3", "--r", "1,1,1",
+                       "--dmax", "3")
+        assert doc["numerator"] == [1, 18, 66, 55]
+        assert degrees == [0, 1, 2, 3]
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv,key,expected", [
@@ -149,7 +165,9 @@ class TestExitCodes:
          "nonnegative"),
         (("hilbert", "--u", "1", "--r", "1", "--dmax", "-2"), "nonnegative"),
         (("canonical", "--n", "3", "--t", "1", "--p", "3", "--dmax", "4"), "--dmax"),
-    ], ids=["negative-max-volume", "negative-dmax", "closed-form-dmax"])
+        (("canonical", "--u", "1", "--r", "1", "--dmax", "-3"), "nonnegative"),
+    ], ids=["negative-max-volume", "negative-dmax", "closed-form-dmax",
+            "negative-canonical-dmax"])
     def test_invalid_input_is_validation_error(self, capsys, argv, fragment):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

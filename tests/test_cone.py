@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -169,18 +171,35 @@ class TestFacets:
     @settings(max_examples=25, deadline=None)
     @given(stair_specs(max_p=2, max_entry=2))
     def test_rank_certificates_match_rational_elimination(self, spec):
-        # dual route: the fraction-free certificates against a plain
-        # Fraction-based Gaussian elimination
+        # dual route: the certificates against a plain Fraction-based
+        # Gaussian elimination, on the cone and on broken copies of it
+        # (each normal dropped in turn, and a non-facet normal added)
         c = stair_cone(spec)
-        for g in c.gens:
-            active = [a for a in c.normals if dot(g, a) == 0] + [c.nu]
-            assert is_extreme_generator(c, g) == (
-                rank_fractions(active, c.ambient_dim) == c.ambient_dim - 1
-            )
-        for a in c.normals:
-            on_face = [g for g in c.gens if dot(g, a) == 0]
-            expected = rank_fractions(on_face, c.ambient_dim) == c.ambient_dim - 2
-            assert facet_check(c, a) == expected
+        d = c.ambient_dim
+        non_facet = tuple(x + y for x, y in zip(c.normals[-1], c.normals[-2]))
+        variants = [c, replace(c, normals=c.normals + (non_facet,))] + [
+            replace(c, normals=c.normals[:k] + c.normals[k + 1:])
+            for k in range(len(c.normals))
+        ]
+        for v in variants:
+            for g in v.gens:
+                active = [a for a in v.normals if dot(g, a) == 0] + [v.nu]
+                expected = rank_fractions(active, d) == d - 1
+                assert is_extreme_generator(v, g) == expected
+            for a in v.normals:
+                on_face = [g for g in v.gens if dot(g, a) == 0]
+                expected = rank_fractions(on_face, d) == d - 2
+                assert facet_check(v, a) == expected
+        assert not facet_check(variants[1], non_facet)
+
+    @pytest.mark.parametrize("bad", [(1, 1, 0, 0), (0, 0, 1, 1), (2, 0, 1, 1), (1, 0, 2, 0)])
+    def test_non_edge_generator_is_rejected(self, bad):
+        c = stair_cone(SINGLE)
+        c = replace(c, gens=c.gens + (bad,))
+        with pytest.raises(ValueError, match="edge vector"):
+            facet_check(c, c.normals[0])
+        with pytest.raises(ValueError, match="edge vector"):
+            is_extreme_generator(c, c.gens[0])
 
 
 class TestVerifyReport:
