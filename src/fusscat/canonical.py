@@ -7,20 +7,25 @@ the exponent cone, and for the uniform staircase (u_i = n, r_i = t)
 those generators have a closed form: x^alpha * y_1...y_{pn+1} with
 every alpha_i >= 1, sum(alpha) = p*n + 1 and the prefix sums
 sum(alpha[:k*t]) <= k*n for k = 1..p-1. Shifting alpha down by one
-lands exactly on the composition model of the bracket, so the number of
+lands exactly on the composition model of the bracket, so the closed
+form is the bracket's compositions shifted up by one and the number of
 generators (the Cohen-Macaulay type of the ring) is the bracket value.
 
-The general search and the Hilbert counters work on any staircase,
-uniform or not, via the cone's halfspace description.
+The general search and the Hilbert function work on any staircase,
+uniform or not. The Hilbert function is a DP over the pair of x- and
+y-prefix sums. The search reads minimality off the slacks of a point
+against the cone's normals, since every cone generator is an x-y edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 
+from .brackets import iter_A
 from .caps import check_volume
-from .cone import ExpVec, in_relint, stair_cone
+from .cone import ExpVec, dot, stair_cone
 from .exactmat import binomial
 from .paths import iter_bounded_compositions
 from .polyomino import Polyomino, StairSpec, krull_dim, stair, stair_spec_from_polyomino
@@ -51,37 +56,19 @@ class CanonicalGenerator:
         }
 
 
-def _validate(n: int, t: int, p: int):
-    if not 1 <= t < n:
-        raise ValueError(f"require 1 <= t < n, got t={t}, n={n}")
-    if p < 1:
-        raise ValueError(f"require p >= 1, got p={p}")
-
-
-def iter_stair_alphas(n: int, t: int, p: int, max_volume: int | None = None):
-    """Yield the generator exponents alpha in lexicographic order."""
-    _validate(n, t, p)
-    parts = p * t + 1
-    total = p * n + 1
-    check_volume(binomial(total - 1, parts - 1), max_volume,
-                 what=f"canonical-generator enumeration for (n,t,p)=({n},{t},{p})")
-
-    upper = {k * t: k * n for k in range(1, p)}  # strict bound < k*n + 1
-    yield from iter_bounded_compositions(total, parts, 1, upper)
-
-
 def stair_generators(n: int, t: int, p: int,
                      max_volume: int | None = None) -> list[CanonicalGenerator]:
     """All canonical-module generators of the uniform staircase ring,
-    lexicographically sorted by alpha."""
+    lexicographically sorted by alpha: the bracket's compositions
+    shifted up by one."""
     y_len = p * n + 1
-    return [CanonicalGenerator(alpha, y_len)
-            for alpha in iter_stair_alphas(n, t, p, max_volume)]
+    return [CanonicalGenerator(tuple(a + 1 for a in A), y_len)
+            for A in iter_A(n, t, p, max_volume)]
 
 
 def cm_type_stair(n: int, t: int, p: int, max_volume: int | None = None) -> int:
     """Cohen-Macaulay type: the number of canonical-module generators."""
-    return sum(1 for _ in iter_stair_alphas(n, t, p, max_volume))
+    return sum(1 for _ in iter_A(n, t, p, max_volume))
 
 
 def _as_stair_spec(P) -> StairSpec:
@@ -106,9 +93,10 @@ def minimal_generators_search(P, degree_max: int,
 
     Works on staircase polyominoes (or their specs), where the cone's
     halfspace description is available. A relative-interior integer
-    point z of degree d is kept when z - g leaves the relative interior
-    for every cone generator g; by normality that is exactly minimality
-    in the monomial ideal.
+    point z is kept when z - g leaves the relative interior for every
+    cone generator g; by normality that is exactly minimality in the
+    monomial ideal. Every g is an edge vector e_i + e_j, so this is read
+    off the slacks dot(z, a) - 1 of z alone.
     """
     spec = _as_stair_spec(P)
     cone = stair_cone(spec)
@@ -121,6 +109,12 @@ def minimal_generators_search(P, degree_max: int,
     )
     check_volume(estimate, max_volume, what="relative-interior point search")
 
+    # nu[i] + nu[j] == 0 on every x-y edge (i, j), so z - g keeps the
+    # nu-equality and lies in the relative interior iff every normal a has
+    # slack dot(z, a) - 1 >= a[i] + a[j]. A relative-interior z has all
+    # slacks >= 0, so only normals with a[i] + a[j] > 0 can break that.
+    witnesses = [[(k, a[i] + a[j]) for k, a in enumerate(cone.normals) if a[i] + a[j] > 0]
+                 for i, j in cone.edges]
     found: list[ExpVec] = []
     for d in range(max(m, ny), degree_max + 1):
         for xs in iter_bounded_compositions(d, m, 1):
@@ -130,51 +124,39 @@ def minimal_generators_search(P, degree_max: int,
             y_floor = {alen: xpre[blen] + 1 for blen, alen in constraints}
             for ys in iter_bounded_compositions(d, ny, 1, lower=y_floor):
                 z = xs + ys
-                if all(not in_relint(cone, _sub(z, g)) for g in cone.gens):
+                slack = [dot(z, a) - 1 for a in cone.normals]
+                if all(any(slack[k] < w for k, w in ws) for ws in witnesses):
                     found.append(z)
     return sorted(found)
-
-
-def _sub(u: ExpVec, v: ExpVec) -> ExpVec:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def hilbert_function(P, d: int, max_volume: int | None = None) -> int:
     """Number of degree-d monomials of the staircase ring.
 
-    Counts integer points of the exponent cone with x-part degree d:
-    x-part compositions are enumerated, y-parts are counted by a DP over
-    positions with the step constraints applied at their checkpoints.
+    Counts integer points of the exponent cone with x-part degree d by a
+    DP over the pair (X, Y) of x- and y-prefix sums: each coordinate is a
+    running sum along its axis, and after each block of coordinates up to
+    a step checkpoint the cells breaking Y >= X are zeroed.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     spec = _as_stair_spec(P)
-    heights = spec.heights()
-    breaks = spec.breaks()
-    m, ny = breaks[-1], heights[-1]
-    check_volume(binomial(d + m - 1, m - 1), max_volume,
+    m, ny = spec.breaks()[-1], spec.heights()[-1]
+    check_volume((m + ny) * (d + 1) ** 2, max_volume,
                  what="Hilbert-function lattice point count")
 
-    constraints = _step_constraints(spec)
-    total = 0
-    for xs in iter_bounded_compositions(d, m):
-        xpre = list(accumulate(xs, initial=0))
-        floors = {alen: xpre[blen] for blen, alen in constraints}
-        # dp[s] = number of y-prefixes with sum s so far
-        dp = [1] + [0] * d
-        for pos in range(1, ny + 1):
-            run = 0
-            new = [0] * (d + 1)
-            for s in range(d + 1):
-                run += dp[s]
-                new[s] = run
-            floor = floors.get(pos)
-            if floor is not None:
-                for s in range(min(floor, d + 1)):
-                    new[s] = 0
-            dp = new
-        total += dp[d]
-    return total
+    # ways[X][Y] = number of (x-prefix, y-prefix) pairs with these sums
+    ways = [[1] + [0] * d] + [[0] * (d + 1) for _ in range(d)]
+    xlen = ylen = 0
+    for blen, alen in _step_constraints(spec) + [(m, ny)]:
+        for _ in range(blen - xlen):
+            ways = list(accumulate(ways, lambda acc, row: list(map(add, acc, row))))
+        for _ in range(alen - ylen):
+            ways = [list(accumulate(row)) for row in ways]
+        for X, row in enumerate(ways):
+            row[:X] = [0] * X
+        xlen, ylen = blen, alen
+    return ways[d][d]
 
 
 def hilbert_numerator(P, degree_max: int,

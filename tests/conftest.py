@@ -1,6 +1,7 @@
 """Shared test oracles, all independent of the library's own algorithms."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import hypothesis.strategies as st
 
@@ -21,6 +22,18 @@ def det_cofactor(rows):
             minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
             total += (-1) ** j * val * det_cofactor(minor)
     return total
+
+
+def compositions(total, parts, minimum=0):
+    """Every composition of total into parts entries >= minimum, by stars
+    and bars (the bars' positions among the slots)."""
+    total -= parts * minimum
+    if total < 0:
+        return
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        yield tuple(right - left - 1 + minimum for left, right in zip(edges, edges[1:]))
 
 
 def rank_fractions(rows, ncols):

@@ -1,9 +1,8 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import compositions
 from fusscat.brackets import GFC_METHODS, check_symmetry, enumerate_A, gfc
 from fusscat.caps import SearchCapExceeded
 from fusscat.exactmat import binomial, fuss_catalan
@@ -11,18 +10,9 @@ from fusscat.exactmat import binomial, fuss_catalan
 
 def brute_force_bracket(n, t, p):
     """Independent oracle: list every weak composition by stars and bars
-    (the bars' positions among total + parts - 1 slots) and filter it
-    outright."""
-    parts = p * t + 1
-    total = p * (n - t)
-    slots = total + parts - 1
-    count = 0
-    for bars in combinations(range(slots), parts - 1):
-        edges = (-1,) + bars + (slots,)
-        alpha = [right - left - 1 for left, right in zip(edges, edges[1:])]
-        if all(sum(alpha[: k * t]) <= k * (n - t) for k in range(1, p)):
-            count += 1
-    return count
+    and filter it outright."""
+    return sum(1 for alpha in compositions(p * (n - t), p * t + 1)
+               if all(sum(alpha[: k * t]) <= k * (n - t) for k in range(1, p)))
 
 
 class TestEnumerateA:

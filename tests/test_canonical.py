@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import compositions, stair_specs
 from fusscat.brackets import enumerate_A, gfc
 from fusscat.canonical import (
     CanonicalGenerator,
@@ -12,12 +15,21 @@ from fusscat.canonical import (
     stair_generators,
 )
 from fusscat.caps import SearchCapExceeded
+from fusscat.cone import contains, in_relint, stair_cone
+from fusscat.exactmat import binomial
 from fusscat.polyomino import Polyomino, StairSpec, stair
 from fusscat.selftest import load_generator_golden
 
 P1 = StairSpec((3, 3, 3), (1, 1, 1))
 P2 = StairSpec((3, 3, 3), (2, 2, 2))
 SINGLE = StairSpec((1,), (1,))
+
+
+def degree_points(c, d, minimum=0):
+    """All vectors of the cone's ambient space with x- and y-degree d."""
+    for xs, ys in product(compositions(d, c.x_len, minimum),
+                          compositions(d, c.y_len, minimum)):
+        yield xs + ys
 
 
 class TestClosedForm:
@@ -115,6 +127,18 @@ class TestMinimalSearch:
         with pytest.raises(SearchCapExceeded):
             minimal_generators_search(P2, 11, max_volume=10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(stair_specs(max_p=3, max_entry=2), st.integers(0, 2))
+    def test_matches_dense_definition(self, spec, extra):
+        c = stair_cone(spec)
+        dmax = max(c.x_len, c.y_len) + extra
+        expected = sorted(
+            z for d in range(dmax + 1) for z in degree_points(c, d, 1)
+            if in_relint(c, z)
+            and all(not in_relint(c, tuple(a - b for a, b in zip(z, g))) for g in c.gens)
+        )
+        assert minimal_generators_search(spec, dmax) == expected
+
 
 class TestHilbert:
     def test_degree_zero(self):
@@ -136,6 +160,27 @@ class TestHilbert:
     def test_last_coefficient_is_cm_type(self):
         assert hilbert_numerator(P1, 3)[-1] == cm_type_stair(3, 1, 3)
         assert hilbert_numerator(P2, 6)[-1] == cm_type_stair(3, 2, 3)
+        # beyond the references: degree p*t, top coefficient the bracket
+        for n, t, p in ((4, 2, 3), (5, 2, 3), (4, 1, 4), (5, 3, 2)):
+            h = hilbert_numerator(StairSpec.uniform(n, t, p), p * t + 2)
+            assert h[p * t] == gfc(n, t, p, "dp")
+            assert h[p * t + 1:] == [0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(stair_specs(max_p=3, max_entry=2), st.integers(0, 3))
+    def test_matches_lattice_point_count(self, spec, d):
+        c = stair_cone(spec)
+        expected = sum(1 for z in degree_points(c, d) if contains(c, z))
+        assert hilbert_function(spec, d) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6))
+    def test_rectangle_is_segre_product(self, u, r, d):
+        # p = 1: every x-y pair is a vertex, so H(d) counts pairs of
+        # degree-d monomials in r + 1 and u + 1 variables
+        m, ny = r + 1, u + 1
+        assert hilbert_function(StairSpec((u,), (r,)), d) == (
+            binomial(d + m - 1, m - 1) * binomial(d + ny - 1, ny - 1))
 
     def test_polyomino_input(self):
         assert hilbert_function(stair(P1), 1) == 31

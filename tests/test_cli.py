@@ -153,7 +153,9 @@ class TestExitCodes:
         (("gfc", "--n", "2000", "--t", "1999", "--p", "1", "--method", "canonical"),
          "value", "2000"),
         (("hilbert", "--u", "1", "--r", "2000", "--dmax", "1"), "numerator", [1, 2000]),
-    ], ids=["gfc-enum", "gfc-canonical", "hilbert"])
+        (("hilbert", "--u", "2", "--r", "400", "--dmax", "3"), "numerator",
+         [1, 800, 79800, 0]),
+    ], ids=["gfc-enum", "gfc-canonical", "hilbert", "hilbert-many-x"])
     def test_many_parts_answer(self, capsys, argv, key, expected):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
