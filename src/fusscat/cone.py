@@ -45,9 +45,10 @@ def ambient_box(P: Polyomino) -> tuple[int, int]:
 def exponent_generators(P: Polyomino, x_len: int | None = None,
                         y_len: int | None = None) -> list[ExpVec]:
     """The vectors e_i + e_{m+j} over vertices (i, j), sorted."""
-    m, n = ambient_box(P)
-    x_len = m if x_len is None else x_len
-    y_len = n if y_len is None else y_len
+    if x_len is None or y_len is None:
+        m, n = ambient_box(P)
+        x_len = m if x_len is None else x_len
+        y_len = n if y_len is None else y_len
     return [exponent_vector(v, x_len, y_len) for v in vertex_set(P)]
 
 

@@ -2,6 +2,9 @@
 
 Python's native int is the arbitrary-precision integer used everywhere;
 all determinants, ranks and counts below are exact by construction.
+Fraction-free (Bareiss) elimination is the one general elimination,
+behind both det_exact and rank_exact; the path determinant of ``paths``
+needs none, because its matrix is Hessenberg.
 """
 
 from __future__ import annotations
@@ -71,69 +74,48 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-def det_exact(m: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _eliminate(m: Matrix) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination with row pivoting: every
+    division is exact, as the entries are minors of the input.
 
-    Intermediate entries are minors of the input, so every division is
-    exact and growth stays polynomial in the entry sizes.
+    Drops zero rows, skips columns without a pivot and stops once every
+    row holds a pivot. Returns the rank and the last pivot times the sign
+    of the row swaps: the determinant of a square matrix of full rank.
     """
-    if m.rows != m.cols:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.row_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            ak = a[k]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (piv * ai[j] - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
-
-
-def rank_exact(m: Matrix) -> int:
-    """Exact rank over the rationals, fraction-free with row pivoting.
-
-    Same Bareiss update as det_exact, with column skipping for rank
-    deficiency.
-    """
-    rows = [list(m.row(i)) for i in range(m.rows) if any(m.row(i))]
+    rows = [r for r in m.row_lists() if any(r)]
     ncols = m.cols
     rank = 0
-    prev = 1
+    prev = sign = 1
     for col in range(ncols):
-        piv_at = -1
         for i in range(rank, len(rows)):
             if rows[i][col]:
-                piv_at = i
                 break
-        if piv_at < 0:
+        else:
             continue
-        rows[rank], rows[piv_at] = rows[piv_at], rows[rank]
+        if i != rank:
+            rows[rank], rows[i] = rows[i], rows[rank]
+            sign = -sign
         prow = rows[rank]
         piv = prow[col]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
+        for ri in rows[rank + 1 :]:
             y = ri[col]
-            for j in range(col, ncols):
+            for j in range(col + 1, ncols):
                 ri[j] = (piv * ri[j] - y * prow[j]) // prev
         prev = piv
         rank += 1
         if rank == len(rows):
             break
-    return rank
+    return rank, sign * prev
+
+
+def det_exact(m: Matrix) -> int:
+    """Exact determinant of a square matrix by Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    rank, pivot = _eliminate(m)
+    return pivot if rank == m.rows else 0
+
+
+def rank_exact(m: Matrix) -> int:
+    """Exact rank over the rationals by Bareiss elimination."""
+    return _eliminate(m)[0]

@@ -4,10 +4,11 @@ A path from (0, b_1) to (n, a_n) built from unit horizontal and vertical
 steps is determined by the heights y_1 <= ... <= y_n of its horizontal
 steps, so everything here works on weakly increasing integer sequences
 with b_i <= y_i <= a_i. Three routes are provided: a prefix-sum dynamic
-program, the binomial determinant identity, and (for small instances)
-exhaustive enumeration. The enumeration runs on the package's one
-composition enumerator, iter_bounded_compositions, which also lists the
-bracket's compositions and the canonical-module generators.
+program, the binomial determinant identity (by the leading-minor
+recurrence of its Hessenberg matrix, not by elimination) and, for small
+instances, exhaustive enumeration on the package's one composition
+enumerator, iter_bounded_compositions, which also lists the bracket's
+compositions and the canonical-module generators.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import accumulate
 from operator import gt
 
 from .caps import check_volume
-from .exactmat import Matrix, binomial, det_exact
+from .exactmat import Matrix, binomial
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,23 @@ def path_count_matrix(bounds: HeightBounds) -> Matrix:
 
 
 def count_paths_det(bounds: HeightBounds) -> int:
-    """Number of admissible height sequences, by the determinant identity."""
-    return det_exact(path_count_matrix(bounds))
+    """Number of admissible height sequences, by the determinant identity.
+
+    M = path_count_matrix(bounds) is upper Hessenberg with a unit
+    subdiagonal: below it j - i + 1 < 0, and on it M[i][i-1] =
+    binom(a_i - b_(i-1) + 1, 0) = 1 as a_i >= a_(i-1) >= b_(i-1). So the
+    leading minors are D_0 = 1, D_k = sum_(i<=k) (-1)^(k-i) M[i][k] D_(i-1)
+    (1-based, expanding D_k along its last column): O(n^2) integer work.
+    """
+    m = path_count_matrix(bounds)
+    minors = [1]
+    for k in range(m.cols):
+        total = 0
+        # zip stops after minors[k]: only the rows i <= k of column k count
+        for entry, minor in zip(m.entries[k :: m.cols], minors):
+            total = entry * minor - total
+        minors.append(total)
+    return minors[-1]
 
 
 def iter_bounded_compositions(total: int, parts: int, minimum: int = 0,

@@ -9,6 +9,16 @@ from fusscat.exactmat import Matrix, binomial, det_exact, fuss_catalan, rank_exa
 from conftest import det_cofactor, rank_fractions
 
 
+def matrices(r, c):
+    """r x c matrices with entries in -9..9, or mostly 0 and ±1; the sparse
+    ones force row swaps and columns with no pivot."""
+    sparse = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -3))
+    return st.one_of(*(
+        st.lists(st.lists(e, min_size=c, max_size=c), min_size=r, max_size=r)
+        for e in (st.integers(-9, 9), sparse)
+    ))
+
+
 class TestBinomial:
     @pytest.mark.parametrize(
         "m,k,expected",
@@ -92,12 +102,7 @@ class TestDet:
         assert det_exact(Matrix.from_rows([[1, 2], [2, 4]])) == 0
 
     @settings(max_examples=150)
-    @given(st.integers(1, 5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-            min_size=n, max_size=n,
-        )
-    ))
+    @given(st.integers(1, 5).flatmap(lambda n: matrices(n, n)))
     def test_matches_cofactor_expansion(self, rows):
         assert det_exact(Matrix.from_rows(rows)) == det_cofactor(rows)
 
@@ -122,10 +127,7 @@ class TestRank:
     @settings(max_examples=150)
     @given(st.integers(1, 6), st.integers(1, 6), st.data())
     def test_matches_fraction_elimination_and_transpose(self, r, c, data):
-        rows = data.draw(st.lists(
-            st.lists(st.integers(-9, 9), min_size=c, max_size=c),
-            min_size=r, max_size=r,
-        ))
+        rows = data.draw(matrices(r, c))
         m = Matrix.from_rows(rows)
         expected = rank_fractions(rows, c)
         assert rank_exact(m) == expected

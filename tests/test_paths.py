@@ -3,6 +3,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from fusscat.caps import SearchCapExceeded
+from fusscat.exactmat import det_exact
 from fusscat.paths import (
     HeightBounds,
     count_paths_det,
@@ -116,6 +117,25 @@ class TestEnumeration:
 
 
 class TestAgreementProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(height_bounds(max_n=8, min_h=-5, max_h=10))
+    def test_matrix_is_hessenberg_with_unit_subdiagonal(self, bounds):
+        # the precondition of count_paths_det's leading-minor recurrence
+        m = path_count_matrix(bounds)
+        for i in range(1, m.rows):
+            assert m.row(i)[: i - 1] == (0,) * (i - 1)
+            assert m.row(i)[i - 1] == 1
+
+    # path-matrix orders p*t of 30 to 90 at n = 40..80, the sizes the
+    # bracket queries reach
+    @pytest.mark.parametrize("n,t,p", [
+        (40, 15, 2), (40, 30, 3), (60, 12, 5), (80, 10, 3), (80, 45, 2),
+    ])
+    def test_det_routes_agree_at_large_order(self, n, t, p):
+        bounds = staircase_bounds(n, t, p)
+        count = count_paths_det(bounds)
+        assert count == det_exact(path_count_matrix(bounds)) == count_paths_dp(bounds)
+
     @settings(max_examples=200, deadline=None)
     @given(height_bounds(max_n=8, max_h=10))
     def test_det_equals_dp(self, bounds):
