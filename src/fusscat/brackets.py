@@ -2,10 +2,13 @@
 
 For 1 <= t < n and p >= 1 the bracket counts weak compositions alpha of
 p*(n-t) into p*t+1 parts whose prefix sums obey
-sum(alpha[:k*t]) <= k*(n-t) for k = 1..p-1. Four independent routes
-compute it: direct enumeration, the bounded-path DP, the path
-determinant, and the canonical-generator enumeration. They must always
-agree, and [n 1]_p specializes to the Fuss-Catalan number C_{p+1}(n).
+sum(alpha[:k*t]) <= k*(n-t) for k = 1..p-1. Four routes compute it:
+direct enumeration, the bounded-path DP, the path determinant, and the
+canonical-generator count. Only three are independent: the canonical
+generators are the compositions shifted up by one, so that route walks
+the same compositions as the enumeration (an independent canonical
+route is ROADMAP item 3). They must always agree, and [n 1]_p
+specializes to the Fuss-Catalan number C_{p+1}(n).
 
 The composition entries are nonnegative. Enumeration order is
 lexicographic and deterministic so listings can be diffed.
@@ -59,7 +62,7 @@ def gfc(n: int, t: int, p: int, method: str = "det",
     if method == "enum":
         return sum(1 for _ in iter_A(n, t, p, max_volume))
     if method == "dp":
-        return count_paths_dp(staircase_bounds(n, t, p))
+        return count_paths_dp(staircase_bounds(n, t, p), max_volume)
     if method == "det":
         return count_paths_det(staircase_bounds(n, t, p))
     if method == "canonical":

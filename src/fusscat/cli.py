@@ -119,7 +119,8 @@ def _run_paths(args) -> dict:
     b = args.b if args.b is not None else (0,) * len(args.a)
     bounds = paths.HeightBounds(args.a, b)
     if args.method == "dp":
-        return {"count": str(paths.count_paths_dp(bounds)), "method": "dp"}
+        return {"count": str(paths.count_paths_dp(bounds, args.max_volume)),
+                "method": "dp"}
     if args.method == "det":
         return {"count": str(paths.count_paths_det(bounds)), "method": "det"}
     seqs = paths.enumerate_height_sequences(bounds, args.max_volume)

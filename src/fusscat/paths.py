@@ -3,10 +3,12 @@
 A path from (0, b_1) to (n, a_n) built from unit horizontal and vertical
 steps is determined by the heights y_1 <= ... <= y_n of its horizontal
 steps, so everything here works on weakly increasing integer sequences
-with b_i <= y_i <= a_i. Three routes are provided: a prefix-sum dynamic
-program, the binomial determinant identity (by the leading-minor
-recurrence of its Hessenberg matrix, not by elimination) and, for small
-instances, exhaustive enumeration on the package's one composition
+with b_i <= y_i <= a_i. Three routes are provided: a dynamic program
+that builds each row of prefix counts with one accumulate and is capped
+on its n * (a_n - b_1 + 1) cells; the binomial determinant identity, by
+the leading-minor recurrence of its Hessenberg matrix, reading only the
+entries on and above the subdiagonal and building no matrix; and, for
+small instances, exhaustive enumeration on the package's one composition
 enumerator, iter_bounded_compositions, which also lists the bracket's
 compositions and the canonical-module generators.
 """
@@ -70,55 +72,52 @@ def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:
     return HeightBounds(a, (0,) * (p * t))
 
 
-def count_paths_dp(bounds: HeightBounds) -> int:
-    """Number of admissible height sequences, by prefix-sum DP."""
+def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
+    """Number of admissible height sequences, by prefix-sum DP; refused
+    when its n * (a_n - b_1 + 1) cells exceed the cap."""
     a, b = bounds.a, bounds.b
-    lo, hi = b[0], a[-1]
-    width = hi - lo + 1
-    # ways[h - lo] = number of admissible prefixes ending at height h
-    ways = [0] * width
-    for h in range(b[0], a[0] + 1):
-        ways[h - lo] = 1
+    lo = b[0]
+    check_volume(bounds.n * (a[-1] - lo + 1), max_volume,
+                 what="path-count DP (--method det has no cap)")
+    # row[h - lo]: admissible prefixes y_1..y_i ending at height h <= a_i
+    row = [1] * (a[0] - lo + 1)
     for i in range(1, bounds.n):
-        prev_hi = a[i - 1]
-        new = [0] * width
-        # y_i >= y_{i-1} makes each new entry a running prefix sum of the
-        # old row, clipped to the previous step's own interval.
-        run = 0
-        for h in range(lo, hi + 1):
-            if h <= prev_hi:
-                run += ways[h - lo]
-            if b[i] <= h <= a[i]:
-                new[h - lo] = run
-        ways = new
-    return sum(ways)
+        # y_i >= y_(i-1): prefix sums of the old row, then its total for
+        # the heights above a_(i-1), then zero below b_i
+        row = list(accumulate(row))
+        row += [row[-1]] * (a[i] - a[i - 1])
+        row[: b[i] - lo] = [0] * (b[i] - lo)
+    return sum(row)
+
+
+def _column(a, b, j: int, rows: int) -> list[int]:
+    """Rows 0..rows-1 of column j of the path matrix."""
+    return [binomial(a[i] - b[j] + 1, j - i + 1) for i in range(rows)]
 
 
 def path_count_matrix(bounds: HeightBounds) -> Matrix:
     """The n x n matrix binom(a_i - b_j + 1, j - i + 1) whose determinant
     counts the paths."""
-    a, b = bounds.a, bounds.b
     n = bounds.n
-    return Matrix.from_rows(
-        [[binomial(a[i] - b[j] + 1, j - i + 1) for j in range(n)] for i in range(n)]
-    )
+    columns = [_column(bounds.a, bounds.b, j, n) for j in range(n)]
+    return Matrix.from_rows(zip(*columns))
 
 
 def count_paths_det(bounds: HeightBounds) -> int:
     """Number of admissible height sequences, by the determinant identity.
 
-    M = path_count_matrix(bounds) is upper Hessenberg with a unit
-    subdiagonal: below it j - i + 1 < 0, and on it M[i][i-1] =
-    binom(a_i - b_(i-1) + 1, 0) = 1 as a_i >= a_(i-1) >= b_(i-1). So the
-    leading minors are D_0 = 1, D_k = sum_(i<=k) (-1)^(k-i) M[i][k] D_(i-1)
-    (1-based, expanding D_k along its last column): O(n^2) integer work.
+    The path matrix M is upper Hessenberg with a unit subdiagonal: below
+    it j - i + 1 < 0, and on it M[i][i-1] = binom(a_i - b_(i-1) + 1, 0) = 1
+    as a_i >= a_(i-1) >= b_(i-1). So the leading minors are D_0 = 1,
+    D_k = sum_(i<=k) (-1)^(k-i) M[i][k] D_(i-1) (1-based, expanding D_k
+    along its last column): O(n^2) integer work on the rows i <= k of
+    each column, with no matrix built.
     """
-    m = path_count_matrix(bounds)
+    a, b = bounds.a, bounds.b
     minors = [1]
-    for k in range(m.cols):
+    for k in range(bounds.n):
         total = 0
-        # zip stops after minors[k]: only the rows i <= k of column k count
-        for entry, minor in zip(m.entries[k :: m.cols], minors):
+        for entry, minor in zip(_column(a, b, k, k + 1), minors):
             total = entry * minor - total
         minors.append(total)
     return minors[-1]

@@ -155,12 +155,27 @@ class TestExitCodes:
         (("hilbert", "--u", "1", "--r", "2000", "--dmax", "1"), "numerator", [1, 2000]),
         (("hilbert", "--u", "2", "--r", "400", "--dmax", "3"), "numerator",
          [1, 800, 79800, 0]),
-    ], ids=["gfc-enum", "gfc-canonical", "hilbert", "hilbert-many-x"])
+        (("paths", "--a", "100000000000", "--method", "det"), "count", "100000000001"),
+    ], ids=["gfc-enum", "gfc-canonical", "hilbert", "hilbert-many-x", "paths-det-tall"])
     def test_many_parts_answer(self, capsys, argv, key, expected):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert "Traceback" not in err
         assert json.loads(out)[key] == expected
+
+    @pytest.mark.parametrize("argv", [
+        ("paths", "--a", "100000000000"),
+        # the enumeration estimate binom(3, 2) = 3 fits the cap, the 4 DP
+        # cells do not
+        ("--max-volume", "3", "gfc", "--n", "3", "--t", "2", "--p", "1",
+         "--method", "all"),
+    ], ids=["paths-dp-tall", "gfc-all-dp-over-cap"])
+    def test_dp_over_cap_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused:")
+        assert "--method det" in err
 
     @pytest.mark.parametrize("argv,fragment", [
         (("--max-volume", "-5", "gfc", "--n", "3", "--t", "1", "--p", "3"),

@@ -82,6 +82,14 @@ class TestCounters:
             == 3
         )
 
+    def test_dp_cap_counts_cells(self):
+        # n * (a_n - b_1 + 1) = 2 * 6 cells
+        bounds = HeightBounds((-1, 2), (-3, -2))
+        assert count_paths_dp(bounds, max_volume=12) == 14
+        with pytest.raises(SearchCapExceeded) as exc:
+            count_paths_dp(bounds, max_volume=11)
+        assert exc.value.estimate == 12
+
     def test_negative_heights_allowed(self):
         bounds = HeightBounds((-1, 2), (-3, -2))
         assert count_paths_dp(bounds) == count_paths_det(bounds)
