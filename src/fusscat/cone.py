@@ -4,10 +4,14 @@ Each vertex (i, j) of a polyomino inside [(1,1), (m, n)] maps to the
 0/1 exponent vector e_i + e_{m+j} in Z^{m+n} (x-part first, then
 y-part). For a staircase the cone spanned by these vectors is cut out,
 inside the hyperplane "x-degree = y-degree", by the unit halfspaces
-together with one extra normal per inner step of the staircase. The
-predicates below decide membership and certify extremality and facet
-status by exact ranks; facet and dimension ranks are read off the
-bipartite graph whose edges are the generators.
+together with one extra normal per inner step of the staircase.
+
+The certificate works on the bipartite (Ferrers) graph whose edges are
+the generators. Facet and dimension ranks are edge-graph ranks, counted
+by union-find. Extremality runs an exact elimination on the columns that
+no unit normal covers, once per distinct active matrix of a cone: the
+ranks are memoised on the ConeRep instance. Completeness compares each
+x-coordinate's neighbours with the y-prefix that the normals allow.
 """
 
 from __future__ import annotations
@@ -81,6 +85,11 @@ def stair_normals(spec: StairSpec) -> tuple[list[ExpVec], ExpVec]:
     return normals, nu
 
 
+def _unit_coord(a: ExpVec) -> int | None:
+    """k if a is the unit normal e_k, else None."""
+    return a.index(1) if 1 in a and sum(map(abs, a)) == 1 else None
+
+
 @dataclass(frozen=True)
 class ConeRep:
     """A cone given by generators plus a candidate halfspace description.
@@ -88,7 +97,11 @@ class ConeRep:
     Invariants (certified by verify_h_representation and the tests, not
     re-checked on every construction): every generator g satisfies
     dot(g, nu) == 0 and dot(g, a) >= 0 for every a in normals, and is an
-    edge vector (`edges` checks this on first use).
+    edge vector (`edges` checks this on first use). The cached properties
+    are derived from the fields once per instance; `rank_memo` maps each
+    active matrix that is_extreme_generator has ranked to its rank, so it
+    lives and dies with the instance (a `dataclasses.replace` copy starts
+    with an empty one).
     """
 
     gens: tuple[ExpVec, ...]
@@ -113,9 +126,24 @@ class ConeRep:
         return tuple(out)
 
     @cached_property
-    def unit_coords(self) -> frozenset[int]:
-        """The coordinates k whose unit normal e_k is listed."""
-        return frozenset(a.index(1) for a in self.normals if 1 in a and sum(map(abs, a)) == 1)
+    def gen_index(self) -> dict[ExpVec, int]:
+        """The position of each generator in gens."""
+        return {g: k for k, g in enumerate(self.gens)}
+
+    @cached_property
+    def uncovered(self) -> tuple[int, ...]:
+        """The coordinates k whose unit normal e_k is not listed."""
+        units = set(map(_unit_coord, self.normals))
+        return tuple(k for k in range(self.ambient_dim) if k not in units)
+
+    @cached_property
+    def other_normals(self) -> tuple[ExpVec, ...]:
+        """The normals that are not unit normals, in order."""
+        return tuple(a for a in self.normals if _unit_coord(a) is None)
+
+    @cached_property
+    def rank_memo(self) -> dict[tuple[tuple[int, ...], ...], int]:
+        return {}
 
 
 def stair_cone(spec: StairSpec) -> ConeRep:
@@ -155,18 +183,22 @@ def in_relint(c: ConeRep, z: ExpVec) -> bool:
     return all(dot(z, a) >= 1 for a in c.normals)
 
 
-def _edge_rank(edges) -> int:
+def _edge_rank(edges, size: int) -> int:
     """Rank of the vectors e_i + e_j over the edges (i, j) of a bipartite
-    graph: vertices touched minus connected components (Valencia-Villarreal,
-    Eur. J. Combin. 24, 2003), i.e. the edges that join two components."""
-    component: dict[int, int] = {}
+    graph on the vertices 0..size-1: vertices touched minus connected
+    components (Valencia-Villarreal, Eur. J. Combin. 24, 2003), i.e. the
+    edges that join two components of a union-find with path halving."""
+    parent = list(range(size))
     rank = 0
     for i, j in edges:
-        ci, cj = component.setdefault(i, i), component.setdefault(j, j)
-        if ci != cj:
-            for v, label in component.items():
-                if label == cj:
-                    component[v] = ci
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i != j:
+            parent[j] = i
             rank += 1
     return rank
 
@@ -177,16 +209,20 @@ def is_extreme_generator(c: ConeRep, g: ExpVec) -> bool:
     True iff the normals vanishing on g, together with nu, have rank
     ambient_dim - 1.
     """
-    if g not in c.gens:
+    index = c.gen_index.get(g)
+    if index is None:
         raise ValueError(f"{g} is not a generator of this cone")
-    i, j = c.edges[c.gens.index(g)]
-    # An active unit normal e_k is the only pivot its column needs: leave
-    # out its row and column, and rank what remains on the other columns.
-    covered = c.unit_coords - {i, j}
-    free = [k for k in range(c.ambient_dim) if k not in covered]
-    active = [a for a in c.normals if a[i] + a[j] == 0] + [c.nu]
-    rows = [row for row in map(itemgetter(*free), active) if any(row)]
-    return rank_exact(Matrix.from_rows(rows)) == len(free) - 1
+    i, j = c.edges[index]
+    # A unit normal e_k is inactive at g for k in {i, j}; otherwise it is
+    # active and the only pivot its column needs. Leave out its row and
+    # column, and rank what the other normals leave on the other columns.
+    free = sorted({i, j}.union(c.uncovered))
+    active = [a for a in c.other_normals if a[i] + a[j] == 0] + [c.nu]
+    rows = tuple(row for row in map(itemgetter(*free), active) if any(row))
+    rank = c.rank_memo.get(rows)
+    if rank is None:
+        rank = c.rank_memo[rows] = rank_exact(Matrix.from_rows(rows))
+    return rank == len(free) - 1
 
 
 def facet_check(c: ConeRep, a: ExpVec) -> bool:
@@ -198,36 +234,85 @@ def facet_check(c: ConeRep, a: ExpVec) -> bool:
     if a not in c.normals:
         raise ValueError(f"{a} is not one of the cone's inequality normals")
     on_face = [(i, j) for i, j in c.edges if a[i] + a[j] == 0]
-    return bool(on_face) and _edge_rank(on_face) == c.ambient_dim - 2
+    return bool(on_face) and _edge_rank(on_face, c.ambient_dim) == c.ambient_dim - 2
 
 
-def verify_h_representation(spec: StairSpec) -> dict:
-    """Certify the halfspace description of a staircase exponent cone.
+def _prefix_length(part: ExpVec, value: int) -> int | None:
+    """k if part is value on its first k entries and 0 after, else None."""
+    k = part.count(value)
+    return k if part == (value,) * k + (0,) * (len(part) - k) else None
+
+
+def _completeness_failures(c: ConeRep) -> list[str]:
+    """Witnesses that the normals may cut out more than the generators' cone.
+
+    Needs every unit normal, nu = (1^m, -1^n) and every other normal -1 on
+    an x-prefix and +1 on a y-prefix; otherwise it names what is missing
+    rather than guessing. In the prefix-sum coordinates X_k = x_1 + ... + x_k,
+    Y_l = y_1 + ... + y_l each such normal is a difference of two
+    coordinates, so the slice x-degree = 1 is a totally unimodular system
+    (Schrijver, Theory of Linear and Integer Programming, 1986, ch. 19)
+    whose vertices are the edge vectors e_i + e_{m+j} the normals allow.
+    Those are exactly the generators when x-coordinate i meets the
+    y-coordinates 1..bound(i), bound(i) being the shortest y-prefix of a
+    normal that is -1 at i (y_len if none is).
+    """
+    m, n = c.x_len, c.y_len
+    if c.uncovered:
+        return [f"no unit normal for coordinate {k + 1}" for k in c.uncovered]
+    if c.nu != (1,) * m + (-1,) * n:
+        return [f"nu {list(c.nu)} is not (1^{m}, -1^{n})"]
+    bound = [n] * m
+    for a in c.other_normals:
+        k, length = _prefix_length(a[:m], -1), _prefix_length(a[m:], 1)
+        if k is None or length is None:
+            return [f"normal {list(a)} is not -1 on an x-prefix and +1 on a y-prefix"]
+        for i in range(k):
+            bound[i] = min(bound[i], length)
+    neighbours: list[set[int]] = [set() for _ in range(m)]
+    for i, j in c.edges:
+        neighbours[i].add(j - m + 1)
+    return [f"x_{i + 1} meets y {sorted(neighbours[i])}, the normals allow y_1..y_{bound[i]}"
+            for i in range(m) if neighbours[i] != set(range(1, bound[i] + 1))]
+
+
+def certify(c: ConeRep) -> dict:
+    """The report of verify_h_representation on any cone, without a spec.
 
     Checks, in order: every generator satisfies every halfspace and the
     nu-equality; every generator is an extreme ray; every listed normal
-    is facet-defining; and the generators span a space of dimension
-    ambient_dim - 1. Failures are reported with witnesses, never raised.
+    is facet-defining; the generators span a space of dimension
+    ambient_dim - 1; and the normals allow no edge vector beyond the
+    generators, which makes the description complete. Failures are
+    reported with witnesses, never raised.
     """
-    c = stair_cone(spec)
     report: dict = {
-        "spec": format_stair_spec(spec),
         "ambient_dim": c.ambient_dim,
         "expected_dim": c.ambient_dim - 1,
         "generator_count": len(c.gens),
         "normal_count": len(c.normals),
     }
+    # a normal without a negative entry holds on every edge vector
+    negative = [a for a in c.normals if min(a) < 0]
     containment_fail = [list(g) for g, (i, j) in zip(c.gens, c.edges)
-                        if c.nu[i] + c.nu[j] != 0 or any(a[i] + a[j] < 0 for a in c.normals)]
+                        if c.nu[i] + c.nu[j] != 0 or any(a[i] + a[j] < 0 for a in negative)]
     extreme_fail = [list(g) for g in c.gens if not is_extreme_generator(c, g)]
     facet_fail = [list(a) for a in c.normals if not facet_check(c, a)]
-    gen_rank = _edge_rank(c.edges)
+    gen_rank = _edge_rank(c.edges, c.ambient_dim)
+    complete_fail = _completeness_failures(c)
     checks = {
         "containment": {"passed": not containment_fail, "failures": containment_fail},
         "extreme_generators": {"passed": not extreme_fail, "failures": extreme_fail},
         "facets": {"passed": not facet_fail, "failures": facet_fail},
         "dimension": {"passed": gen_rank == c.ambient_dim - 1, "rank": gen_rank},
+        "complete": {"passed": not complete_fail, "failures": complete_fail},
     }
     report["checks"] = checks
     report["all_passed"] = all(v["passed"] for v in checks.values())
     return report
+
+
+def verify_h_representation(spec: StairSpec) -> dict:
+    """Certify the halfspace description of a staircase exponent cone: the
+    spec, then the report of certify(stair_cone(spec))."""
+    return {"spec": format_stair_spec(spec), **certify(stair_cone(spec))}

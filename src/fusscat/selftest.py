@@ -149,7 +149,7 @@ def iter_stair_specs(p_max: int, entry_max: int):
 def check_cone_certificates(p_max=4, entry_max=3):
     """Criterion 7: the halfspace description of every staircase cone in
     the sweep range is certified (containment, extremality, facets,
-    dimension)."""
+    dimension, completeness)."""
     specs = list(iter_stair_specs(p_max, entry_max))
     failed = sorted((s.u, s.r) for s in specs
                     if not cone.verify_h_representation(s)["all_passed"])

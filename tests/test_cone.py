@@ -1,10 +1,15 @@
 from dataclasses import replace
+from itertools import product
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from fusscat import cone
 from fusscat.cone import (
+    _edge_rank,
     ambient_box,
+    certify,
     contains,
     dot,
     exponent_generators,
@@ -15,7 +20,7 @@ from fusscat.cone import (
     stair_normals,
     verify_h_representation,
 )
-from fusscat.exactmat import Matrix
+from fusscat.exactmat import Matrix, rank_exact
 from fusscat.polyomino import StairSpec, stair
 
 from conftest import rank_fractions, stair_specs
@@ -23,6 +28,15 @@ from conftest import rank_fractions, stair_specs
 P1 = StairSpec((3, 3, 3), (1, 1, 1))
 P2 = StairSpec((3, 3, 3), (2, 2, 2))
 SINGLE = StairSpec((1,), (1,))
+
+
+@st.composite
+def bipartite_edges(draw):
+    """(size, edges): x-y edges (i, j), i < m <= j < m + n, with repeats,
+    isolated vertices and several components all possible."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    edge = st.tuples(st.integers(0, m - 1), st.integers(m, m + n - 1))
+    return m + n, draw(st.lists(edge, max_size=12))
 
 
 def vec_sum(vectors):
@@ -151,6 +165,30 @@ class TestExtremeRays:
         with pytest.raises(ValueError, match="not a generator"):
             is_extreme_generator(c, (2, 0, 1, 1))
 
+    def test_one_rank_call_per_distinct_active_matrix(self, monkeypatch):
+        calls = []
+
+        def counting_rank(m):
+            calls.append(m)
+            return rank_exact(m)
+
+        monkeypatch.setattr(cone, "rank_exact", counting_rank)
+        c = stair_cone(P2)
+        d = c.ambient_dim
+        distinct = set()
+        for g, (i, j) in zip(c.gens, c.edges):
+            active = [a for a in c.normals if dot(g, a) == 0] + [c.nu]
+            assert is_extreme_generator(c, g) == (rank_fractions(active, d) == d - 1)
+            # every unit normal is listed, so the active unit normals cover
+            # all columns but i and j: the rest is the active rows there
+            distinct.add(tuple((a[i], a[j]) for a in active if a[i] or a[j]))
+        assert 1 <= len(calls) <= len(distinct) < len(c.gens)
+        # the memo belongs to the instance: a copy ranks again
+        copy = replace(c, normals=c.normals)
+        assert copy.rank_memo == {}
+        assert all(is_extreme_generator(copy, g) for g in copy.gens)
+        assert len(calls) == 2 * len(c.rank_memo)
+
 
 class TestFacets:
     def test_single_cell_unit_normal(self):
@@ -202,6 +240,51 @@ class TestFacets:
             is_extreme_generator(c, c.gens[0])
 
 
+class TestEdgeRank:
+    @given(bipartite_edges())
+    @example((4, [(0, 2), (0, 2), (1, 3)]))  # a repeated edge, two components
+    @example((5, [(0, 3), (1, 3), (0, 4), (1, 4)]))  # a cycle, isolated vertex 2
+    @example((3, []))
+    def test_matches_rational_elimination(self, case):
+        size, edges = case
+        vectors = [tuple(int(k in e) for k in range(size)) for e in edges]
+        assert _edge_rank(edges, size) == rank_fractions(vectors, size)
+
+
+class TestCompleteness:
+    def test_dropped_step_normal_is_caught(self):
+        # without its step normal this cone passes every other check
+        c = stair_cone(StairSpec((1, 1), (1, 1)))
+        report = certify(replace(c, normals=c.normals[1:]))
+        assert [k for k, v in report["checks"].items() if not v["passed"]] == ["complete"]
+        assert report["checks"]["complete"]["failures"] == [
+            "x_1 meets y [1, 2], the normals allow y_1..y_3"]
+
+    def test_every_one_normal_dropped_mutant_fails(self):
+        mutants = 0
+        for p in range(1, 4):
+            for u, r in product(product((1, 2), repeat=p), repeat=2):
+                c = stair_cone(StairSpec(u, r))
+                assert certify(c)["checks"]["complete"] == {"passed": True, "failures": []}
+                for k in range(len(c.normals)):
+                    report = certify(replace(c, normals=c.normals[:k] + c.normals[k + 1:]))
+                    assert not report["checks"]["complete"]["passed"], (u, r, k)
+                    assert not report["all_passed"]
+                    mutants += 1
+        assert mutants == 996
+
+    @pytest.mark.parametrize("change, witness", [
+        (lambda c: replace(c, nu=(1, -1, 1, -1)), "nu [1, -1, 1, -1] is not (1^2, -1^2)"),
+        (lambda c: replace(c, normals=c.normals + ((0, 0, -1, 1),)),
+         "normal [0, 0, -1, 1] is not -1 on an x-prefix and +1 on a y-prefix"),
+        (lambda c: replace(c, normals=c.normals + ((0, -1, 1, 0),)),
+         "normal [0, -1, 1, 0] is not -1 on an x-prefix and +1 on a y-prefix"),
+    ])
+    def test_unchecked_shapes_fail(self, change, witness):
+        report = certify(change(stair_cone(SINGLE)))
+        assert report["checks"]["complete"] == {"passed": False, "failures": [witness]}
+
+
 class TestVerifyReport:
     def test_single_cell(self):
         report = verify_h_representation(SINGLE)
@@ -214,6 +297,15 @@ class TestVerifyReport:
             report = verify_h_representation(spec)
             assert report["all_passed"], report
             assert report["checks"]["dimension"]["rank"] == dim
+
+    def test_generator_outside_a_halfspace_fails_containment(self):
+        # x_2 y_10 lies outside only the second step normal (-1 on x_1..x_2,
+        # +1 on y_1..y_7)
+        c = stair_cone(P1)
+        outside = tuple(int(k in (1, 13)) for k in range(14))
+        report = certify(replace(c, gens=c.gens + (outside,)))
+        assert report["checks"]["containment"] == {"passed": False, "failures": [list(outside)]}
+        assert not report["checks"]["complete"]["passed"]
 
     def test_report_is_json_serializable(self):
         import json
