@@ -40,6 +40,7 @@ from .canonical import (
     hilbert_numerator,
     minimal_generators_search,
     stair_generators,
+    top_turn_count,
 )
 
 __version__ = "0.1.0"

@@ -3,12 +3,13 @@
 For 1 <= t < n and p >= 1 the bracket counts weak compositions alpha of
 p*(n-t) into p*t+1 parts whose prefix sums obey
 sum(alpha[:k*t]) <= k*(n-t) for k = 1..p-1. Four routes compute it:
-direct enumeration, the bounded-path DP, the path determinant, and the
-canonical-generator count. Only three are independent: the canonical
-generators are the compositions shifted up by one, so that route walks
-the same compositions as the enumeration (an independent canonical
-route is ROADMAP item 3). They must always agree, and [n 1]_p
-specializes to the Fuss-Catalan number C_{p+1}(n).
+direct enumeration of the compositions, the bounded-path DP, the path
+determinant, and the Cohen-Macaulay type of the uniform staircase ring,
+read off the top coefficient of its Hilbert numerator by counting
+lattice paths through the vertex set by their NE turns. They are four
+independent computations (dp and det count the same paths by different
+algorithms), so their agreement is a check: they must always agree, and
+[n 1]_p specializes to the Fuss-Catalan number C_{p+1}(n).
 
 The composition entries are nonnegative. Enumeration order is
 lexicographic and deterministic so listings can be diffed.
@@ -27,7 +28,8 @@ CompositionVector = tuple[int, ...]
 GFC_METHODS = ("enum", "dp", "det", "canonical")
 
 
-def _validate(n: int, t: int, p: int):
+def validate_triple(n: int, t: int, p: int):
+    """Raise ValueError unless 1 <= t < n and p >= 1."""
     if not 1 <= t < n:
         raise ValueError(f"require 1 <= t < n, got t={t}, n={n}")
     if p < 1:
@@ -40,7 +42,7 @@ def iter_A(n: int, t: int, p: int, max_volume: int | None = None):
     The cap estimate is the unconstrained stars-and-bars count; the
     prefix constraints only shrink the true search tree.
     """
-    _validate(n, t, p)
+    validate_triple(n, t, p)
     parts = p * t + 1
     total = p * (n - t)
     check_volume(binomial(total + parts - 1, parts - 1), max_volume,
@@ -58,7 +60,7 @@ def enumerate_A(n: int, t: int, p: int, max_volume: int | None = None):
 def gfc(n: int, t: int, p: int, method: str = "det",
         max_volume: int | None = None) -> int:
     """The bracket value for (n, t, p) by the requested method."""
-    _validate(n, t, p)
+    validate_triple(n, t, p)
     if method == "enum":
         return sum(1 for _ in iter_A(n, t, p, max_volume))
     if method == "dp":

@@ -7,9 +7,15 @@ the exponent cone, and for the uniform staircase (u_i = n, r_i = t)
 those generators have a closed form: x^alpha * y_1...y_{pn+1} with
 every alpha_i >= 1, sum(alpha) = p*n + 1 and the prefix sums
 sum(alpha[:k*t]) <= k*n for k = 1..p-1. Shifting alpha down by one
-lands exactly on the composition model of the bracket, so the closed
-form is the bracket's compositions shifted up by one and the number of
-generators (the Cohen-Macaulay type of the ring) is the bracket value.
+lands exactly on the composition model of the bracket.
+
+The Cohen-Macaulay type is computed without those compositions. The
+ring is a one-sided ladder determinantal ring, so the coefficient h_k
+of its Hilbert series numerator counts the lattice paths through the
+vertex set with k NE turns. The top coefficient h_s counts the
+canonical generators of lowest degree, and the uniform ring is level
+(its closed-form generators share one degree), so h_s is its type: a
+DP over the vertices, independent of the bracket's other routes.
 
 The general search and the Hilbert function work on any staircase,
 uniform or not. The Hilbert function is a DP over the pair of x- and
@@ -20,10 +26,10 @@ against the cone's normals, since every cone generator is an x-y edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import add
 
-from .brackets import iter_A
+from .brackets import iter_A, validate_triple
 from .caps import check_volume
 from .cone import ExpVec, dot, stair_cone
 from .exactmat import binomial
@@ -67,8 +73,69 @@ def stair_generators(n: int, t: int, p: int,
 
 
 def cm_type_stair(n: int, t: int, p: int, max_volume: int | None = None) -> int:
-    """Cohen-Macaulay type: the number of canonical-module generators."""
-    return sum(1 for _ in iter_A(n, t, p, max_volume))
+    """Cohen-Macaulay type of the uniform staircase ring: the top
+    coefficient h_s (s = p*t) of its Hilbert numerator, by the turn-count
+    DP. The ring is level, so h_s counts every canonical generator."""
+    validate_triple(n, t, p)
+    return top_turn_count(StairSpec.uniform(n, t, p), max_volume)[1]
+
+
+def top_turn_count(P, max_volume: int | None = None) -> tuple[int, int]:
+    """(s, h_s): the most NE turns of a lattice path through the vertex
+    set, and the number of paths with that many.
+
+    The paths run from (1, 1) to (B_p, A_p) by unit N and E steps and
+    stay under the top of each vertex column: A_k for the columns
+    B_(k-1) .. B_k - 1, and A_p for column B_p. An NE turn is an N step
+    followed by an E step. The paths with k NE turns number h_k, the
+    k-th coefficient of the Hilbert numerator of the one-sided ladder
+    ring (Conca, JPAA 98, 1995; Krattenthaler-Prohaska, Trans. AMS 351,
+    1999), so h_s is the number of canonical generators of the lowest
+    degree, dim - s. The DP reads the column tops off (u, r), visits each
+    vertex once and is refused when the vertex count exceeds the cap.
+    """
+    spec = _as_stair_spec(P)
+    heights = spec.heights()
+    vertices = sum(A * r for A, r in zip(heights, spec.r)) + heights[-1]
+    check_volume(vertices, max_volume, what="ladder turn-count DP")
+    tops = chain(chain.from_iterable(map(repeat, heights, spec.r)), heights[-1:])
+
+    # Over the paths from (1, 1) to (x, y), y = 1..top(x): the most NE
+    # turns and how many paths reach it, among the paths whose last step
+    # is E (em, ec; the empty path at the start counts as one) and among
+    # all of them (tm, tc).
+    top = next(tops)
+    em, ec = [0], [1]
+    tm, tc = [0] * top, [1] * top
+    for top in tops:
+        # no E step reaches the heights above the previous column's top
+        pad = len(tm) - len(em)
+        em += [-1] * pad
+        ec += [0] * pad
+        # An E step into (x, y) leaves (x - 1, y): after an E step there
+        # with no new turn, after an N step (from (x - 1, y - 1)) with
+        # one. (x, 1) has no N arrival.
+        m, c = em[0], ec[0]
+        new_em, new_ec, new_tm, new_tc = [m], [c], [m], [c]
+        for a, ca, b, cb in zip(em[1:], ec[1:], tm, tc):
+            b += 1
+            if a < b:
+                a, ca = b, cb
+            elif a == b:
+                ca += cb
+            new_em.append(a)
+            new_ec.append(ca)
+            # all paths to (x, y): the E arrivals and the N arrivals,
+            # which are the paths to (x, y - 1)
+            if a > m:
+                m, c = a, ca
+            elif a == m:
+                c += ca
+            new_tm.append(m)
+            new_tc.append(c)
+        rise = top - len(tm)
+        em, ec, tm, tc = new_em, new_ec, new_tm + [m] * rise, new_tc + [c] * rise
+    return tm[-1], tc[-1]
 
 
 def _as_stair_spec(P) -> StairSpec:

@@ -16,8 +16,8 @@ compositions and the canonical-module generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import gt
+from itertools import accumulate, repeat
+from operator import floordiv, gt, mul, sub
 
 from .caps import check_volume
 from .exactmat import Matrix, binomial
@@ -90,16 +90,35 @@ def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     return sum(row)
 
 
-def _column(a, b, j: int, rows: int) -> list[int]:
-    """Rows 0..rows-1 of column j of the path matrix."""
-    return [binomial(a[i] - b[j] + 1, j - i + 1) for i in range(rows)]
+def _columns(a, b):
+    """Yield rows 0..k of each column k of the path matrix
+    binom(a_i - b_k + 1, k - i + 1).
+
+    Where b_k == b_(k-1), column k follows from rows 0..k of column k-1
+    (its last row the subdiagonal 1) by one exact step per row:
+    binom(N, K) = binom(N, K - 1) * (N - K + 1) / K, with N = a_i - b_k + 1
+    and K = k - i + 1. A zero entry (N < 0 or K > N) stays zero, so this
+    keeps the zero convention. Only the first column, and a column where
+    b changes, call binomial.
+    """
+    # N - K + 1 = (a_i + i) - (b_k + k - 1)
+    a_plus_i = [ai + i for i, ai in enumerate(a)]
+    col = []
+    for k, bk in enumerate(b):
+        if k and bk == b[k - 1]:
+            factors = map(sub, a_plus_i, repeat(bk + k - 1))
+            col = list(map(floordiv, map(mul, [*col, 1], factors), range(k + 1, 0, -1)))
+        else:
+            col = [binomial(a[i] - bk + 1, k - i + 1) for i in range(k + 1)]
+        yield col
 
 
 def path_count_matrix(bounds: HeightBounds) -> Matrix:
     """The n x n matrix binom(a_i - b_j + 1, j - i + 1) whose determinant
-    counts the paths."""
+    counts the paths: the rows i <= j of each column from _columns, then
+    the subdiagonal 1 and zeros (see count_paths_det)."""
     n = bounds.n
-    columns = [_column(bounds.a, bounds.b, j, n) for j in range(n)]
+    columns = [(col + [1] + [0] * n)[:n] for col in _columns(bounds.a, bounds.b)]
     return Matrix.from_rows(zip(*columns))
 
 
@@ -113,14 +132,12 @@ def count_paths_det(bounds: HeightBounds) -> int:
     along its last column): O(n^2) integer work on the rows i <= k of
     each column, with no matrix built.
     """
-    a, b = bounds.a, bounds.b
-    minors = [1]
-    for k in range(bounds.n):
-        total = 0
-        for entry, minor in zip(_column(a, b, k, k + 1), minors):
-            total = entry * minor - total
-        minors.append(total)
-    return minors[-1]
+    # alt[i] = (-1)^i D_i, so that each minor is one sum of products:
+    # D_(k+1) = (-1)^k sum_(i<=k) M[i][k] alt[i] (0-based rows)
+    alt = [1]
+    for col in _columns(bounds.a, bounds.b):
+        alt.append(-sum(map(mul, col, alt)))
+    return -alt[-1] if bounds.n % 2 else alt[-1]
 
 
 def iter_bounded_compositions(total: int, parts: int, minimum: int = 0,

@@ -36,6 +36,25 @@ def compositions(total, parts, minimum=0):
         yield tuple(right - left - 1 + minimum for left, right in zip(edges, edges[1:]))
 
 
+def ladder_paths(vertices):
+    """Every path of unit N and E steps through the vertex set, from its
+    least to its greatest point, as a word in 'N' and 'E'."""
+    vertices = set(vertices)
+    end = max(vertices)
+
+    def walk(point):
+        if point == end:
+            yield ""
+            return
+        x, y = point
+        for step, after in (("E", (x + 1, y)), ("N", (x, y + 1))):
+            if after in vertices:
+                for rest in walk(after):
+                    yield step + rest
+
+    return list(walk(min(vertices)))
+
+
 def rank_fractions(rows, ncols):
     """Rank by plain Gaussian elimination over exact rationals."""
     mat = [[Fraction(x) for x in r] for r in rows]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import compositions
+from fusscat import brackets, canonical, paths, selftest
 from fusscat.brackets import GFC_METHODS, check_symmetry, enumerate_A, gfc
 from fusscat.caps import SearchCapExceeded
 from fusscat.exactmat import binomial, fuss_catalan
@@ -84,6 +85,32 @@ class TestBracket:
             for p in range(1, 4):
                 for t in range(1, n):
                     assert len(enumerate_A(n, t, p)) == len(enumerate_A(n, n - t, p))
+
+
+class TestIndependentRoutes:
+    def test_dropped_composition_breaks_agreement(self, monkeypatch):
+        walk = brackets.iter_A
+
+        def drop_first(*args, **kwargs):
+            walked = walk(*args, **kwargs)
+            next(walked)
+            yield from walked
+
+        monkeypatch.setattr(brackets, "iter_A", drop_first)
+        assert gfc(4, 2, 2, "enum") == 52
+        assert gfc(4, 2, 2, "canonical") == 53
+        passed, _ = selftest.check_symmetry_and_methods(n_max=4, p_max=2)
+        assert not passed
+
+    def test_canonical_walks_no_compositions(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("composition walk")
+
+        for module in (brackets, canonical, paths):
+            for name in ("iter_A", "iter_bounded_compositions"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert gfc(6, 3, 4, "canonical") == gfc(6, 3, 4, "det")
 
 
 class TestSymmetryReport:

@@ -1,10 +1,12 @@
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import compositions, stair_specs
+from conftest import compositions, ladder_paths, stair_specs
 from fusscat.brackets import enumerate_A, gfc
 from fusscat.canonical import (
     CanonicalGenerator,
@@ -13,16 +15,29 @@ from fusscat.canonical import (
     hilbert_numerator,
     minimal_generators_search,
     stair_generators,
+    top_turn_count,
 )
 from fusscat.caps import SearchCapExceeded
 from fusscat.cone import contains, in_relint, stair_cone
 from fusscat.exactmat import binomial
-from fusscat.polyomino import Polyomino, StairSpec, stair
+from fusscat.polyomino import Polyomino, StairSpec, krull_dim, stair, vertex_set
 from fusscat.selftest import load_generator_golden
 
 P1 = StairSpec((3, 3, 3), (1, 1, 1))
 P2 = StairSpec((3, 3, 3), (2, 2, 2))
 SINGLE = StairSpec((1,), (1,))
+# every staircase with p <= 3 and entries <= 2, uniform and mixed
+SMALL_SPECS = [StairSpec(u, r) for p in range(1, 4)
+               for u in product((1, 2), repeat=p) for r in product((1, 2), repeat=p)]
+
+
+@lru_cache(maxsize=None)
+def turn_listing(spec, turn):
+    """(most turns, paths with that many) over the listed vertex-set
+    paths, counting the two-step word ``turn`` ("NE" or "EN")."""
+    counts = Counter(w.count(turn) for w in ladder_paths(vertex_set(stair(spec))))
+    top = max(counts)
+    return top, counts[top]
 
 
 def degree_points(c, d, minimum=0):
@@ -89,6 +104,11 @@ class TestCmType:
     def test_derived_value(self):
         assert cm_type_stair(4, 2, 2) == 53
 
+    @pytest.mark.parametrize("n,t,p", [(3, 0, 1), (3, 3, 1), (2, 1, 0)])
+    def test_rejects_bad_parameters(self, n, t, p):
+        with pytest.raises(ValueError):
+            cm_type_stair(n, t, p)
+
     def test_equals_bracket_and_mirror(self):
         for n in range(2, 6):
             for p in range(1, 4):
@@ -96,6 +116,52 @@ class TestCmType:
                     value = cm_type_stair(n, t, p)
                     assert value == gfc(n, t, p)
                     assert value == cm_type_stair(n, n - t, p)
+
+
+class TestTurnCount:
+    def test_matches_path_listing(self):
+        for spec in SMALL_SPECS:
+            assert top_turn_count(spec) == turn_listing(spec, "NE"), spec
+
+    def test_top_coefficient_of_numerator_and_lowest_generators(self):
+        # h_s is the last nonzero numerator coefficient, and it counts the
+        # canonical generators of the lowest degree, dim - s
+        for spec in SMALL_SPECS:
+            s, h = top_turn_count(spec)
+            numerator = hilbert_numerator(spec, s + 1)
+            assert numerator[s:] == [h, 0], spec
+            low = krull_dim(stair(spec)) - s
+            m = spec.breaks()[-1]
+            found = minimal_generators_search(spec, low)
+            assert Counter(sum(z[:m]) for z in found) == {low: h}, spec
+
+    def test_en_turns_are_not_the_numerator(self):
+        # the convention matters: an E step followed by an N step is not a
+        # turn of the formula
+        wrong = [spec for spec in SMALL_SPECS
+                 if turn_listing(spec, "EN") != top_turn_count(spec)]
+        assert wrong
+
+    def test_uniform_top_is_bracket(self):
+        for n in range(2, 10):
+            for p in range(1, 6):
+                if n * p > 40:
+                    continue
+                for t in range(1, n):
+                    assert top_turn_count(StairSpec.uniform(n, t, p)) == (
+                        p * t, gfc(n, t, p, "det")), (n, t, p)
+
+    def test_cap_counts_vertices(self):
+        spec = StairSpec((2, 1, 3), (1, 3, 2))
+        vertices = len(vertex_set(stair(spec)))
+        assert top_turn_count(spec, max_volume=vertices) == top_turn_count(spec)
+        with pytest.raises(SearchCapExceeded) as refused:
+            top_turn_count(spec, max_volume=vertices - 1)
+        assert refused.value.estimate == vertices
+
+    def test_polyomino_input(self):
+        assert top_turn_count(stair(P1)) == top_turn_count(P1) == (3, 55)
+        assert top_turn_count(SINGLE) == (1, 1)
 
 
 class TestMinimalSearch:

@@ -177,6 +177,14 @@ class TestExitCodes:
         assert err.startswith("refused:")
         assert "--method det" in err
 
+    def test_canonical_over_cap_is_refused(self, capsys):
+        # the turn-count DP's estimate is the vertex count, 45 here
+        code, out, err = run_cli(capsys, "--max-volume", "10", "gfc", "--n", "5",
+                                 "--t", "2", "--p", "2", "--method", "canonical")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused:")
+
     @pytest.mark.parametrize("argv,fragment", [
         (("--max-volume", "-5", "gfc", "--n", "3", "--t", "1", "--p", "3"),
          "nonnegative"),

@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fusscat.caps import SearchCapExceeded
-from fusscat.exactmat import det_exact
+from fusscat.exactmat import binomial, det_exact
 from fusscat.paths import (
     HeightBounds,
+    _columns,
     count_paths_det,
     count_paths_dp,
     enumerate_height_sequences,
@@ -143,6 +144,19 @@ class TestAgreementProperties:
         bounds = staircase_bounds(n, t, p)
         count = count_paths_det(bounds)
         assert count == det_exact(path_count_matrix(bounds)) == count_paths_dp(bounds)
+
+    # b level for a few columns, then changing, with negative heights
+    @example(HeightBounds((-2, 0, 0, 3, 5, 5), (-3, -3, -1, -1, -1, 2)))
+    @settings(max_examples=200, deadline=None)
+    @given(height_bounds(max_n=10, min_h=-4, max_h=6))
+    def test_columns_match_entry_formula(self, bounds):
+        # _columns steps a column from the last one while b stays level
+        # and calls binomial where it changes
+        a, b = bounds.a, bounds.b
+        expected = [[binomial(a[i] - b[k] + 1, k - i + 1) for i in range(k + 1)]
+                    for k in range(bounds.n)]
+        assert list(_columns(a, b)) == expected
+        assert count_paths_det(bounds) == count_paths_dp(bounds)
 
     @settings(max_examples=200, deadline=None)
     @given(height_bounds(max_n=8, max_h=10))
