@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from .caps import check_volume
 from .exactmat import binomial
-from .paths import (count_paths_det, count_paths_dp, iter_bounded_compositions,
+from .paths import (check_dp, count_paths_det, count_paths_dp, iter_bounded_compositions,
                     staircase_bounds)
+from .polyomino import StairSpec
 
 # a prefix-constrained weak composition, as produced by iter_A
 CompositionVector = tuple[int, ...]
@@ -36,20 +37,35 @@ def validate_triple(n: int, t: int, p: int):
         raise ValueError(f"require p >= 1, got p={p}")
 
 
-def iter_A(n: int, t: int, p: int, max_volume: int | None = None):
-    """Yield the admissible composition vectors in lexicographic order.
-
-    The cap estimate is the unconstrained stars-and-bars count; the
-    prefix constraints only shrink the true search tree.
-    """
-    validate_triple(n, t, p)
+def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
+    """Refuse iter_A(n, t, p) when the unconstrained stars-and-bars count
+    exceeds the cap; the prefix constraints only shrink the true search
+    tree."""
     parts = p * t + 1
     total = p * (n - t)
     check_volume(binomial(total + parts - 1, parts - 1), max_volume,
                  what=f"composition enumeration for (n,t,p)=({n},{t},{p})")
 
+
+def check_methods(n: int, t: int, p: int, max_volume: int | None = None):
+    """Raise SearchCapExceeded for the first method, in GFC_METHODS
+    order, whose cap estimate exceeds the cap, so that a request for all
+    of them is refused before any of them runs. det has no cap."""
+    from .canonical import check_turn_count
+
+    validate_triple(n, t, p)
+    check_enum(n, t, p, max_volume)
+    check_dp(staircase_bounds(n, t, p), max_volume)
+    check_turn_count(StairSpec.uniform(n, t, p), max_volume)
+
+
+def iter_A(n: int, t: int, p: int, max_volume: int | None = None):
+    """Yield the admissible composition vectors in lexicographic order,
+    under the cap of check_enum."""
+    validate_triple(n, t, p)
+    check_enum(n, t, p, max_volume)
     upper = {k * t: k * (n - t) for k in range(1, p)}
-    yield from iter_bounded_compositions(total, parts, upper=upper)
+    yield from iter_bounded_compositions(p * (n - t), p * t + 1, upper=upper)
 
 
 def enumerate_A(n: int, t: int, p: int, max_volume: int | None = None):

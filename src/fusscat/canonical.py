@@ -20,7 +20,10 @@ DP over the vertices, independent of the bracket's other routes.
 The general search and the Hilbert function work on any staircase,
 uniform or not. The Hilbert function is a DP over the pair of x- and
 y-prefix sums. The search reads minimality off the slacks of a point
-against the cone's normals, since every cone generator is an x-y edge.
+against the cone's normals, since every cone generator is an x-y edge:
+an edge with an end at 1 is always blocked by that end's unit normal,
+so only the open edges, both ends above 1, are tested, and only against
+the p - 1 step normals.
 """
 
 from __future__ import annotations
@@ -95,9 +98,8 @@ def top_turn_count(P, max_volume: int | None = None) -> tuple[int, int]:
     vertex once and is refused when the vertex count exceeds the cap.
     """
     spec = _as_stair_spec(P)
+    check_turn_count(spec, max_volume)
     heights = spec.heights()
-    vertices = sum(A * r for A, r in zip(heights, spec.r)) + heights[-1]
-    check_volume(vertices, max_volume, what="ladder turn-count DP")
     tops = chain(chain.from_iterable(map(repeat, heights, spec.r)), heights[-1:])
 
     # Over the paths from (1, 1) to (x, y), y = 1..top(x): the most NE
@@ -138,6 +140,11 @@ def top_turn_count(P, max_volume: int | None = None) -> tuple[int, int]:
     return tm[-1], tc[-1]
 
 
+def check_turn_count(spec: StairSpec, max_volume: int | None = None):
+    """Refuse top_turn_count on spec when its vertex count exceeds the cap."""
+    check_volume(spec.vertex_count(), max_volume, what="ladder turn-count DP")
+
+
 def _as_stair_spec(P) -> StairSpec:
     if isinstance(P, StairSpec):
         return P
@@ -163,24 +170,32 @@ def minimal_generators_search(P, degree_max: int,
     point z is kept when z - g leaves the relative interior for every
     cone generator g; by normality that is exactly minimality in the
     monomial ideal. Every g is an edge vector e_i + e_j, so this is read
-    off the slacks dot(z, a) - 1 of z alone.
+    off the slacks dot(z, a) - 1 of z alone. The unit normals block every
+    edge with an end at 1, so only the open edges of z (z_i > 1 and
+    z_j > 1) are tested, and only against the p - 1 step normals. Refused
+    when the point-count estimate, or the cone's (see stair_cone),
+    exceeds the cap.
     """
     spec = _as_stair_spec(P)
-    cone = stair_cone(spec)
-    m, ny = cone.x_len, cone.y_len
-    constraints = _step_constraints(spec)
-
+    m, ny = spec.breaks()[-1], spec.heights()[-1]
     estimate = sum(
         binomial(d - 1, m - 1) * binomial(d - 1, ny - 1)
         for d in range(degree_max + 1)
     )
     check_volume(estimate, max_volume, what="relative-interior point search")
+    cone = stair_cone(spec, max_volume)
+    constraints = _step_constraints(spec)
 
     # nu[i] + nu[j] == 0 on every x-y edge (i, j), so z - g keeps the
     # nu-equality and lies in the relative interior iff every normal a has
     # slack dot(z, a) - 1 >= a[i] + a[j]. A relative-interior z has all
     # slacks >= 0, so only normals with a[i] + a[j] > 0 can break that.
-    witnesses = [[(k, a[i] + a[j]) for k, a in enumerate(cone.normals) if a[i] + a[j] > 0]
+    # The unit normal e_i has slack z_i - 1 and weight 1 on the edges at
+    # i, and a stair cone lists every unit normal, so an edge with an end
+    # at 1 is always blocked. An open edge, both ends above 1, needs one
+    # of its non-unit witnesses.
+    others = cone.other_normals
+    witnesses = [(i, j, [(k, a[i] + a[j]) for k, a in enumerate(others) if a[i] + a[j] > 0])
                  for i, j in cone.edges]
     found: list[ExpVec] = []
     for d in range(max(m, ny), degree_max + 1):
@@ -189,10 +204,12 @@ def minimal_generators_search(P, degree_max: int,
             # dot(z, step normal s) >= 1 pins a lower bound on each
             # y-prefix once x is fixed.
             y_floor = {alen: xpre[blen] + 1 for blen, alen in constraints}
+            # the edges whose x end is above 1; the y end is tested per point
+            x_open = [(j, ws) for i, j, ws in witnesses if xs[i] > 1]
             for ys in iter_bounded_compositions(d, ny, 1, lower=y_floor):
                 z = xs + ys
-                slack = [dot(z, a) - 1 for a in cone.normals]
-                if all(any(slack[k] < w for k, w in ws) for ws in witnesses):
+                slack = [dot(z, a) - 1 for a in others]
+                if all(z[j] == 1 or any(slack[k] < w for k, w in ws) for j, ws in x_open):
                     found.append(z)
     return sorted(found)
 

@@ -103,6 +103,7 @@ def _spec(args) -> polyomino.StairSpec:
 
 def _run_gfc(args) -> dict:
     if args.method == "all":
+        brackets.check_methods(args.n, args.t, args.p, args.max_volume)
         values = {m: brackets.gfc(args.n, args.t, args.p, m, args.max_volume)
                   for m in brackets.GFC_METHODS}
         agree = len(set(values.values())) == 1
@@ -180,7 +181,7 @@ def _run_canonical(args) -> dict:
 
 
 def _run_cone_verify(args) -> dict:
-    return cone.verify_h_representation(_spec(args))
+    return cone.verify_h_representation(_spec(args), args.max_volume)
 
 
 def _run_hilbert(args) -> dict:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, mul
 
+from .caps import check_volume
 from .exactmat import Matrix, rank_exact
 from .polyomino import Polyomino, StairSpec, format_stair_spec, stair, vertex_set
 
@@ -146,11 +147,16 @@ class ConeRep:
         return {}
 
 
-def stair_cone(spec: StairSpec) -> ConeRep:
+def stair_cone(spec: StairSpec, max_volume: int | None = None) -> ConeRep:
+    """The exponent cone of the staircase of spec with the normals of
+    stair_normals. Refused before anything is built when its |V|
+    generators times its p - 1 + B_p + A_p normals exceed the cap. That
+    bounds the entries of the dense generator vectors (of length
+    B_p + A_p) and the edge steps of the certificate's facet checks."""
+    m, n = spec.breaks()[-1], spec.heights()[-1]
+    check_volume(spec.vertex_count() * (spec.p - 1 + m + n), max_volume,
+                 what="staircase cone (generators x normals)")
     P = stair(spec)
-    breaks = spec.breaks()
-    heights = spec.heights()
-    m, n = breaks[-1], heights[-1]
     gens = tuple(exponent_generators(P, m, n))
     normals, nu = stair_normals(spec)
     return ConeRep(gens, tuple(normals), nu, m, n)
@@ -312,7 +318,7 @@ def certify(c: ConeRep) -> dict:
     return report
 
 
-def verify_h_representation(spec: StairSpec) -> dict:
+def verify_h_representation(spec: StairSpec, max_volume: int | None = None) -> dict:
     """Certify the halfspace description of a staircase exponent cone: the
-    spec, then the report of certify(stair_cone(spec))."""
-    return {"spec": format_stair_spec(spec), **certify(stair_cone(spec))}
+    spec, then the report of certify(stair_cone(spec, max_volume))."""
+    return {"spec": format_stair_spec(spec), **certify(stair_cone(spec, max_volume))}

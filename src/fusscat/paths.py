@@ -72,13 +72,19 @@ def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:
     return HeightBounds(a, (0,) * (p * t))
 
 
+def check_dp(bounds: HeightBounds, max_volume: int | None = None):
+    """Refuse count_paths_dp on bounds when its n * (a_n - b_1 + 1) cells
+    exceed the cap."""
+    check_volume(bounds.n * (bounds.a[-1] - bounds.b[0] + 1), max_volume,
+                 what="path-count DP (--method det has no cap)")
+
+
 def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     """Number of admissible height sequences, by prefix-sum DP; refused
     when its n * (a_n - b_1 + 1) cells exceed the cap."""
+    check_dp(bounds, max_volume)
     a, b = bounds.a, bounds.b
     lo = b[0]
-    check_volume(bounds.n * (a[-1] - lo + 1), max_volume,
-                 what="path-count DP (--method det has no cap)")
     # row[h - lo]: admissible prefixes y_1..y_i ending at height h <= a_i
     row = [1] * (a[0] - lo + 1)
     for i in range(1, bounds.n):

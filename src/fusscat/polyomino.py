@@ -82,6 +82,12 @@ class StairSpec:
         """B_0..B_p with B_0 = 1 and B_k = 1 + sum(r[:k])."""
         return (1,) + tuple(1 + s for s in accumulate(self.r))
 
+    def vertex_count(self) -> int:
+        """Number of vertices of the staircase: a column B_(k-1) .. B_k - 1
+        holds A_k of them, and the last column B_p holds A_p."""
+        heights = self.heights()
+        return sum(A * r for A, r in zip(heights, self.r)) + heights[-1]
+
     @classmethod
     def uniform(cls, n: int, t: int, p: int) -> "StairSpec":
         """The spec with u_i = n and r_i = t for all i."""

@@ -113,6 +113,29 @@ class TestIndependentRoutes:
         assert gfc(6, 3, 4, "canonical") == gfc(6, 3, 4, "det")
 
 
+class TestCheckMethods:
+    def test_first_refusing_method_in_order(self):
+        # (3, 2, 1): enum's estimate 3, dp's 4 cells, canonical's 12 vertices
+        brackets.check_methods(3, 2, 1, max_volume=12)
+        for cap, what in ((11, "ladder turn-count DP"), (3, "path-count DP"),
+                          (2, "composition enumeration")):
+            with pytest.raises(SearchCapExceeded, match=what):
+                brackets.check_methods(3, 2, 1, max_volume=cap)
+
+    def test_estimates_are_the_routes_own(self):
+        # each route answers at the estimate the pre-check uses, and is
+        # refused one below it
+        for method, volume in (("enum", 3), ("dp", 4), ("canonical", 12)):
+            assert gfc(3, 2, 1, method, max_volume=volume) == 3
+            with pytest.raises(SearchCapExceeded) as refused:
+                gfc(3, 2, 1, method, max_volume=volume - 1)
+            assert refused.value.estimate == volume
+
+    def test_validates_the_triple(self):
+        with pytest.raises(ValueError):
+            brackets.check_methods(3, 3, 1)
+
+
 class TestSymmetryReport:
     def test_reference_sweep(self):
         report = check_symmetry(3, 3)

@@ -1,6 +1,9 @@
+import hashlib
+import json
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +23,11 @@ from fusscat.canonical import (
 from fusscat.caps import SearchCapExceeded
 from fusscat.cone import contains, in_relint, stair_cone
 from fusscat.exactmat import binomial
-from fusscat.polyomino import Polyomino, StairSpec, krull_dim, stair, vertex_set
+from fusscat.polyomino import (Polyomino, StairSpec, krull_dim, parse_stair_spec, stair,
+                               vertex_set)
 from fusscat.selftest import load_generator_golden
+
+GOLDEN_MIXED = Path(__file__).resolve().parent.parent / "bench" / "golden_mixed.json"
 
 P1 = StairSpec((3, 3, 3), (1, 1, 1))
 P2 = StairSpec((3, 3, 3), (2, 2, 2))
@@ -29,6 +35,10 @@ SINGLE = StairSpec((1,), (1,))
 # every staircase with p <= 3 and entries <= 2, uniform and mixed
 SMALL_SPECS = [StairSpec(u, r) for p in range(1, 4)
                for u in product((1, 2), repeat=p) for r in product((1, 2), repeat=p)]
+# every staircase with p <= 3, entries <= 3 and at most 12 cone coordinates
+SWEEP_SPECS = [StairSpec(u, r) for p in range(1, 4)
+               for u in product((1, 2, 3), repeat=p) for r in product((1, 2, 3), repeat=p)
+               if sum(u) + sum(r) + 2 <= 12]
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +202,35 @@ class TestMinimalSearch:
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
             minimal_generators_search(P2, 11, max_volume=10)
+
+    def test_cone_cap_applies(self):
+        # below its first degree the search's own estimate is 0, the
+        # cone's 4 generators times 4 normals still count
+        assert minimal_generators_search(SINGLE, 1, max_volume=16) == []
+        with pytest.raises(SearchCapExceeded) as refused:
+            minimal_generators_search(SINGLE, 1, max_volume=15)
+        assert refused.value.estimate == 16
+
+    def test_lowest_degree_counts_match_turn_count(self):
+        # on each staircase, exactly h_s generators sit at x-degree dim - s
+        assert len(SWEEP_SPECS) == 253
+        for spec in SWEEP_SPECS:
+            s, h = top_turn_count(spec)
+            low = krull_dim(stair(spec)) - s
+            m = spec.breaks()[-1]
+            found = minimal_generators_search(spec, low)
+            assert Counter(sum(z[:m]) for z in found) == {low: h}, spec
+
+    def test_golden_mixed_specs(self):
+        # counts and digests recorded by the dense search of the first
+        # release, on 233 mixed staircases
+        golden = json.loads(GOLDEN_MIXED.read_text())["specs"]
+        assert len(golden) == 233
+        for text, want in golden.items():
+            found = minimal_generators_search(parse_stair_spec(text), want["search_dmax"])
+            listing = json.dumps([list(z) for z in found], separators=(",", ":"))
+            assert len(found) == want["search_count"], text
+            assert hashlib.sha256(listing.encode()).hexdigest() == want["search_sha256"], text
 
     @settings(max_examples=40, deadline=None)
     @given(stair_specs(max_p=3, max_entry=2), st.integers(0, 2))

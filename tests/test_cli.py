@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fusscat import brackets, canonical
 from fusscat.cli import main
 
 
@@ -184,6 +185,44 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("refused:")
+
+    @pytest.mark.parametrize("argv,fragment", [
+        # 120,801 generators times 803 normals
+        (("cone-verify", "--u", "200,200", "--r", "200,200"), "staircase cone"),
+        (("cone-verify", "--u", "100,100", "--r", "100,100"), "volume 12251603 "),
+        # the search's own estimate is 0 below its first degree
+        (("canonical", "--u", "200,200", "--r", "200,200", "--dmax", "0"), "staircase cone"),
+        (("--max-volume", "15", "cone-verify", "--u", "1", "--r", "1"), "volume 16 "),
+        # 16,004,000 vertices; enum, dp and det would answer first
+        (("gfc", "--n", "4000", "--t", "3999", "--p", "1"), "ladder turn-count DP"),
+    ], ids=["cone-verify-200", "cone-verify-100", "canonical-search-cone",
+            "cone-verify-cap", "gfc-all-canonical"])
+    def test_refused_before_building(self, capsys, argv, fragment):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused:")
+        assert fragment in err
+
+    def test_cone_cap_boundary_answers(self, capsys):
+        # the single cell's 4 generators times 4 normals
+        doc = run_json(capsys, "--max-volume", "16", "cone-verify", "--u", "1", "--r", "1")
+        assert doc["all_passed"] is True
+
+    def test_gfc_all_refuses_before_any_method_runs(self, capsys, monkeypatch):
+        # enum's estimate binom(4, 1) and dp's 4 cells fit a cap of 5, the
+        # turn-count DP's 10 vertices do not
+        def refuse(*args, **kwargs):
+            raise AssertionError("a method ran")
+
+        for name in ("iter_A", "count_paths_dp", "count_paths_det"):
+            monkeypatch.setattr(brackets, name, refuse)
+        monkeypatch.setattr(canonical, "top_turn_count", refuse)
+        code, out, err = run_cli(capsys, "--max-volume", "5", "gfc", "--n", "4",
+                                 "--t", "1", "--p", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: refusing ladder turn-count DP: estimated volume 10 ")
 
     @pytest.mark.parametrize("argv,fragment", [
         (("--max-volume", "-5", "gfc", "--n", "3", "--t", "1", "--p", "3"),

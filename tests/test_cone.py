@@ -20,6 +20,7 @@ from fusscat.cone import (
     stair_normals,
     verify_h_representation,
 )
+from fusscat.caps import SearchCapExceeded
 from fusscat.exactmat import Matrix, rank_exact
 from fusscat.polyomino import StairSpec, stair
 
@@ -283,6 +284,31 @@ class TestCompleteness:
     def test_unchecked_shapes_fail(self, change, witness):
         report = certify(change(stair_cone(SINGLE)))
         assert report["checks"]["complete"] == {"passed": False, "failures": [witness]}
+
+
+class TestCap:
+    SPEC = StairSpec((2, 1, 3), (1, 3, 2))
+
+    def test_estimate_is_generators_times_normals(self):
+        c = stair_cone(self.SPEC)
+        volume = len(c.gens) * len(c.normals)
+        assert stair_cone(self.SPEC, max_volume=volume) == c
+        with pytest.raises(SearchCapExceeded) as refused:
+            stair_cone(self.SPEC, max_volume=volume - 1)
+        assert refused.value.estimate == volume
+
+    def test_refused_before_the_polyomino_is_built(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("stair built")
+
+        monkeypatch.setattr(cone, "stair", refuse)
+        with pytest.raises(SearchCapExceeded):
+            verify_h_representation(StairSpec((200, 200), (200, 200)))
+
+    def test_certificate_passes_the_cap_through(self):
+        with pytest.raises(SearchCapExceeded):
+            verify_h_representation(SINGLE, max_volume=4 * 4 - 1)
+        assert verify_h_representation(SINGLE, max_volume=4 * 4)["all_passed"]
 
 
 class TestVerifyReport:

@@ -53,6 +53,11 @@ class TestStairConstruction:
         heights = spec.heights()
         assert len(P) == sum(r * (h - 1) for r, h in zip(spec.r, heights))
 
+    @settings(max_examples=40, deadline=None)
+    @given(stair_specs(max_p=4, max_entry=4))
+    def test_vertex_count(self, spec):
+        assert spec.vertex_count() == len(vertex_set(stair(spec)))
+
     @pytest.mark.parametrize("u,r", [((), ()), ((0, 1), (1, 1)), ((1,), (1, 2))])
     def test_spec_validation(self, u, r):
         with pytest.raises(ValueError):
