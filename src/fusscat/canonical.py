@@ -18,12 +18,10 @@ canonical generators of lowest degree, and the uniform ring is level
 DP over the vertices, independent of the bracket's other routes.
 
 The general search and the Hilbert function work on any staircase,
-uniform or not. The Hilbert function is a DP over the pair of x- and
-y-prefix sums. The search reads minimality off the slacks of a point
-against the cone's normals, since every cone generator is an x-y edge:
-an edge with an end at 1 is always blocked by that end's unit normal,
-so only the open edges, both ends above 1, are tested, and only against
-the p - 1 step normals.
+uniform or not, and read it off (u, r) without building the polyomino
+or its cone: the Hilbert function is a DP over the pair of x- and
+y-prefix sums, and the search keeps a point by a rule on the
+staircase's blocks and its tight steps.
 """
 
 from __future__ import annotations
@@ -34,10 +32,10 @@ from operator import add
 
 from .brackets import iter_A, validate_triple
 from .caps import check_volume
-from .cone import ExpVec, dot, stair_cone
+from .cone import ExpVec
 from .exactmat import binomial
 from .paths import iter_bounded_compositions
-from .polyomino import Polyomino, StairSpec, krull_dim, stair, stair_spec_from_polyomino
+from .polyomino import Polyomino, StairSpec, stair_spec_from_polyomino
 
 
 @dataclass(frozen=True)
@@ -153,28 +151,23 @@ def _as_stair_spec(P) -> StairSpec:
     raise TypeError(f"expected a Polyomino or StairSpec, got {type(P).__name__}")
 
 
-def _step_constraints(spec: StairSpec) -> list[tuple[int, int]]:
-    """(x-prefix length B_s - 1, y-prefix length A_s) per inner step."""
-    heights = spec.heights()
-    breaks = spec.breaks()
-    return [(breaks[s] - 1, heights[s - 1]) for s in range(1, spec.p)]
-
-
 def minimal_generators_search(P, degree_max: int,
                               max_volume: int | None = None) -> list[ExpVec]:
     """Search the relative interior of the exponent cone degree by degree
-    for minimal canonical-module generators.
+    for minimal canonical-module generators, on a staircase polyomino or
+    its spec, with no cone built.
 
-    Works on staircase polyominoes (or their specs), where the cone's
-    halfspace description is available. A relative-interior integer
-    point z is kept when z - g leaves the relative interior for every
-    cone generator g; by normality that is exactly minimality in the
-    monomial ideal. Every g is an edge vector e_i + e_j, so this is read
-    off the slacks dot(z, a) - 1 of z alone. The unit normals block every
-    edge with an end at 1, so only the open edges of z (z_i > 1 and
-    z_j > 1) are tested, and only against the p - 1 step normals. Refused
-    when the point-count estimate, or the cone's (see stair_cone),
-    exceeds the cap.
+    A relative-interior integer point z is kept when z - g leaves the
+    relative interior for every cone generator g, an edge e_i + e_j; by
+    normality that is exactly minimality in the monomial ideal. Block k
+    holds the x-coordinates B_(k-1) .. B_k - 1 (the last block also B_p),
+    whose edges reach y_1 .. y_(A_k). A unit normal blocks every edge
+    with an end at 1. The step normal s blocks the edges with x_i >= B_s
+    and y_j <= A_s when it is tight, Y_(A_s) = X_(B_s - 1) + 1. So with
+    cover_k = A_s for the largest tight s < k (0 if none), z is kept iff
+    no block k with an x-coordinate above 1 has a y-coordinate above 1
+    among y_(cover_k + 1) .. y_(A_k). Refused when the point-count
+    estimate exceeds the cap.
     """
     spec = _as_stair_spec(P)
     m, ny = spec.breaks()[-1], spec.heights()[-1]
@@ -183,34 +176,34 @@ def minimal_generators_search(P, degree_max: int,
         for d in range(degree_max + 1)
     )
     check_volume(estimate, max_volume, what="relative-interior point search")
-    cone = stair_cone(spec, max_volume)
-    constraints = _step_constraints(spec)
+    checkpoints = spec.step_checkpoints()
+    # block k holds the x-coordinates starts[k] + 1 .. ends[k]
+    ends = [blen for blen, _ in checkpoints] + [m]
+    starts = [0] + ends[:-1]
+    heights = spec.heights()
 
-    # nu[i] + nu[j] == 0 on every x-y edge (i, j), so z - g keeps the
-    # nu-equality and lies in the relative interior iff every normal a has
-    # slack dot(z, a) - 1 >= a[i] + a[j]. A relative-interior z has all
-    # slacks >= 0, so only normals with a[i] + a[j] > 0 can break that.
-    # The unit normal e_i has slack z_i - 1 and weight 1 on the edges at
-    # i, and a stair cone lists every unit normal, so an edge with an end
-    # at 1 is always blocked. An open edge, both ends above 1, needs one
-    # of its non-unit witnesses.
-    others = cone.other_normals
-    witnesses = [(i, j, [(k, a[i] + a[j]) for k, a in enumerate(others) if a[i] + a[j] > 0])
-                 for i, j in cone.edges]
     found: list[ExpVec] = []
     for d in range(max(m, ny), degree_max + 1):
         for xs in iter_bounded_compositions(d, m, 1):
             xpre = list(accumulate(xs, initial=0))
-            # dot(z, step normal s) >= 1 pins a lower bound on each
-            # y-prefix once x is fixed.
-            y_floor = {alen: xpre[blen] + 1 for blen, alen in constraints}
-            # the edges whose x end is above 1; the y end is tested per point
-            x_open = [(j, ws) for i, j, ws in witnesses if xs[i] > 1]
-            for ys in iter_bounded_compositions(d, ny, 1, lower=y_floor):
-                z = xs + ys
-                slack = [dot(z, a) - 1 for a in others]
-                if all(z[j] == 1 or any(slack[k] < w for k, w in ws) for j, ws in x_open):
-                    found.append(z)
+            # the step inequalities pin a floor on each Y_(A_s) once x is
+            # fixed; step s is tight when Y_(A_s) sits on it
+            floors = [xpre[blen] + 1 for blen, _ in checkpoints]
+            # per block: its height A_k, whether it holds an x above 1,
+            # and the floor of the step at its top (None for the last)
+            blocks = [(A, xpre[end] - xpre[start] > end - start, floor)
+                      for A, start, end, floor in zip(heights, starts, ends, floors + [None])]
+            for ys in iter_bounded_compositions(d, ny, 1, lower=dict(zip(heights, floors))):
+                ypre = list(accumulate(ys, initial=0))
+                cover = 0
+                for A, x_open, floor in blocks:
+                    # a y above 1 among y_(cover + 1) .. y_A leaves an open edge unblocked
+                    if x_open and ypre[A] - ypre[cover] > A - cover:
+                        break
+                    if ypre[A] == floor:
+                        cover = A
+                else:
+                    found.append(xs + ys)
     return sorted(found)
 
 
@@ -232,7 +225,7 @@ def hilbert_function(P, d: int, max_volume: int | None = None) -> int:
     # ways[X][Y] = number of (x-prefix, y-prefix) pairs with these sums
     ways = [[1] + [0] * d] + [[0] * (d + 1) for _ in range(d)]
     xlen = ylen = 0
-    for blen, alen in _step_constraints(spec) + [(m, ny)]:
+    for blen, alen in (*spec.step_checkpoints(), (m, ny)):
         for _ in range(blen - xlen):
             ways = list(accumulate(ways, lambda acc, row: list(map(add, acc, row))))
         for _ in range(alen - ylen):
@@ -249,7 +242,7 @@ def hilbert_numerator(P, degree_max: int,
     i.e. of (sum_d H(d) t^d) * (1 - t)^dim truncated at degree_max."""
     spec = _as_stair_spec(P)
     H = [hilbert_function(spec, d, max_volume) for d in range(degree_max + 1)]
-    return numerator_from_hilbert(H, krull_dim(stair(spec)))
+    return numerator_from_hilbert(H, spec.krull_dim())
 
 
 def numerator_from_hilbert(H: list[int], dim: int) -> list[int]:

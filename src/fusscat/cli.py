@@ -188,7 +188,7 @@ def _run_hilbert(args) -> dict:
     spec = _spec(args)
     values = [canonical.hilbert_function(spec, d, args.max_volume)
               for d in range(args.dmax + 1)]
-    dim = polyomino.krull_dim(polyomino.stair(spec))
+    dim = spec.krull_dim()
     return {
         "spec": polyomino.format_stair_spec(spec),
         "dimension": dim,

@@ -65,19 +65,12 @@ def stair_normals(spec: StairSpec) -> tuple[list[ExpVec], ExpVec]:
     normal separating x-degree from y-degree. The step normal for s has
     -1 on x-coordinates 1..B_s - 1 and +1 on y-coordinates 1..A_s.
     """
-    heights = spec.heights()
-    breaks = spec.breaks()
-    m = breaks[-1]  # B_p
-    n = heights[-1]  # A_p
+    m, n = spec.breaks()[-1], spec.heights()[-1]
     ambient = m + n
-    normals: list[ExpVec] = []
-    for s in range(1, spec.p):
-        vec = [0] * ambient
-        for k in range(breaks[s] - 1):
-            vec[k] = -1
-        for k in range(heights[s - 1]):
-            vec[m + k] = 1
-        normals.append(tuple(vec))
+    normals: list[ExpVec] = [
+        (-1,) * blen + (0,) * (m - blen) + (1,) * alen + (0,) * (n - alen)
+        for blen, alen in spec.step_checkpoints()
+    ]
     for k in range(ambient):
         vec = [0] * ambient
         vec[k] = 1
@@ -149,7 +142,8 @@ class ConeRep:
 
 def stair_cone(spec: StairSpec, max_volume: int | None = None) -> ConeRep:
     """The exponent cone of the staircase of spec with the normals of
-    stair_normals. Refused before anything is built when its |V|
+    stair_normals, for the certificate; the search and the Hilbert data
+    build no cone. Refused before anything is built when its |V|
     generators times its p - 1 + B_p + A_p normals exceed the cap. That
     bounds the entries of the dense generator vectors (of length
     B_p + A_p) and the edge steps of the certificate's facet checks."""

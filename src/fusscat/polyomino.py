@@ -82,6 +82,16 @@ class StairSpec:
         """B_0..B_p with B_0 = 1 and B_k = 1 + sum(r[:k])."""
         return (1,) + tuple(1 + s for s in accumulate(self.r))
 
+    def step_checkpoints(self) -> tuple[tuple[int, int], ...]:
+        """(B_s - 1, A_s) per inner step s = 1..p-1: the x- and y-prefix
+        lengths of the step inequality Y_(A_s) >= X_(B_s - 1) of the cone."""
+        return tuple(zip((b - 1 for b in self.breaks()[1:-1]), self.heights()[:-1]))
+
+    def krull_dim(self) -> int:
+        """B_p + A_p - 1, the Krull dimension |V| - |cells| of the
+        staircase, read off (u, r) without building it."""
+        return self.breaks()[-1] + self.heights()[-1] - 1
+
     def vertex_count(self) -> int:
         """Number of vertices of the staircase: a column B_(k-1) .. B_k - 1
         holds A_k of them, and the last column B_p holds A_p."""

@@ -1,12 +1,15 @@
-"""Shared test oracles, all independent of the library's own algorithms."""
+"""Shared test oracles, all independent of the library's own algorithms,
+and a guard that makes building a staircase polyomino or cone fail."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import hypothesis.strategies as st
 
+from fusscat.cone import stair_cone
 from fusscat.paths import HeightBounds
-from fusscat.polyomino import StairSpec
+from fusscat.polyomino import StairSpec, stair
 
 
 def det_cofactor(rows):
@@ -90,3 +93,16 @@ def stair_specs(draw, max_p=3, max_entry=3):
     u = tuple(draw(st.integers(1, max_entry)) for _ in range(p))
     r = tuple(draw(st.integers(1, max_entry)) for _ in range(p))
     return StairSpec(u, r)
+
+
+def forbid_stair_builds(monkeypatch):
+    """Make `stair` and `stair_cone` raise under every name that a fusscat
+    module holds them by, for the rest of the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a staircase polyomino or cone")
+
+    for name, module in list(sys.modules.items()):
+        if name == "fusscat" or name.startswith("fusscat."):
+            for key, value in list(vars(module).items()):
+                if value is stair or value is stair_cone:
+                    monkeypatch.setattr(module, key, refuse)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import compositions, ladder_paths, stair_specs
+from conftest import compositions, forbid_stair_builds, ladder_paths, stair_specs
 from fusscat.brackets import enumerate_A, gfc
 from fusscat.canonical import (
     CanonicalGenerator,
@@ -203,13 +203,13 @@ class TestMinimalSearch:
         with pytest.raises(SearchCapExceeded):
             minimal_generators_search(P2, 11, max_volume=10)
 
-    def test_cone_cap_applies(self):
-        # below its first degree the search's own estimate is 0, the
-        # cone's 4 generators times 4 normals still count
-        assert minimal_generators_search(SINGLE, 1, max_volume=16) == []
-        with pytest.raises(SearchCapExceeded) as refused:
-            minimal_generators_search(SINGLE, 1, max_volume=15)
-        assert refused.value.estimate == 16
+    def test_builds_no_polyomino_or_cone(self, monkeypatch):
+        cases = [(P1, 10), (P2, 11), (StairSpec((2, 1, 3), (1, 3, 2)), 9),
+                 (SINGLE, 2), (StairSpec((200, 200), (200, 200)), 0)]
+        expected = [minimal_generators_search(spec, d) for spec, d in cases]
+        forbid_stair_builds(monkeypatch)
+        assert [minimal_generators_search(spec, d) for spec, d in cases] == expected
+        assert expected[-1] == []
 
     def test_lowest_degree_counts_match_turn_count(self):
         # on each staircase, exactly h_s generators sit at x-degree dim - s
@@ -289,6 +289,13 @@ class TestHilbert:
 
     def test_polyomino_input(self):
         assert hilbert_function(stair(P1), 1) == 31
+
+    def test_numerator_builds_no_polyomino(self, monkeypatch):
+        forbid_stair_builds(monkeypatch)
+        assert hilbert_numerator(P1, 3) == [1, 18, 66, 55]
+        # the rectangle's Segre product of two projective spaces has h_1 = u*r;
+        # its polyomino would hold 2,250,000 cells
+        assert hilbert_numerator(StairSpec((1500,), (1500,)), 1) == [1, 1500 * 1500]
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import forbid_stair_builds
 from fusscat import brackets, canonical
 from fusscat.cli import main
 
@@ -146,6 +147,13 @@ class TestHilbertCommand:
         assert doc["numerator"] == [1, 18, 66, 55]
         assert degrees == [0, 1, 2, 3]
 
+    def test_builds_no_polyomino(self, capsys, monkeypatch):
+        forbid_stair_builds(monkeypatch)
+        doc = run_json(capsys, "hilbert", "--u", "3,3,3", "--r", "1,1,1",
+                       "--dmax", "3")
+        assert doc["numerator"] == [1, 18, 66, 55]
+        assert doc["dimension"] == 13
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv,key,expected", [
@@ -157,7 +165,11 @@ class TestExitCodes:
         (("hilbert", "--u", "2", "--r", "400", "--dmax", "3"), "numerator",
          [1, 800, 79800, 0]),
         (("paths", "--a", "100000000000", "--method", "det"), "count", "100000000001"),
-    ], ids=["gfc-enum", "gfc-canonical", "hilbert", "hilbert-many-x", "paths-det-tall"])
+        # the search's own estimate is 0 below its first degree, and it
+        # builds no cone
+        (("canonical", "--u", "200,200", "--r", "200,200", "--dmax", "0"), "count", "0"),
+    ], ids=["gfc-enum", "gfc-canonical", "hilbert", "hilbert-many-x", "paths-det-tall",
+            "canonical-search-large"])
     def test_many_parts_answer(self, capsys, argv, key, expected):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
@@ -190,13 +202,10 @@ class TestExitCodes:
         # 120,801 generators times 803 normals
         (("cone-verify", "--u", "200,200", "--r", "200,200"), "staircase cone"),
         (("cone-verify", "--u", "100,100", "--r", "100,100"), "volume 12251603 "),
-        # the search's own estimate is 0 below its first degree
-        (("canonical", "--u", "200,200", "--r", "200,200", "--dmax", "0"), "staircase cone"),
         (("--max-volume", "15", "cone-verify", "--u", "1", "--r", "1"), "volume 16 "),
         # 16,004,000 vertices; enum, dp and det would answer first
         (("gfc", "--n", "4000", "--t", "3999", "--p", "1"), "ladder turn-count DP"),
-    ], ids=["cone-verify-200", "cone-verify-100", "canonical-search-cone",
-            "cone-verify-cap", "gfc-all-canonical"])
+    ], ids=["cone-verify-200", "cone-verify-100", "cone-verify-cap", "gfc-all-canonical"])
     def test_refused_before_building(self, capsys, argv, fragment):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

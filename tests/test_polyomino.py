@@ -143,7 +143,7 @@ class TestKrullDim:
     def test_stair_dimension_formula(self, spec):
         P = stair(spec)
         expected = spec.heights()[-1] + spec.breaks()[-1] - 1
-        assert krull_dim(P) == expected
+        assert krull_dim(P) == expected == spec.krull_dim()
         assert len(vertex_set(P)) == len(P) + expected
 
 
