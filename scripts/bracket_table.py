@@ -9,7 +9,6 @@ import argparse
 
 from fusscat.brackets import gfc
 from fusscat.canonical import minimal_generators_search
-from fusscat.cone import stair_cone
 from fusscat.polyomino import StairSpec
 
 
@@ -29,8 +28,7 @@ def mixed_generator_degrees(samples):
     print("minimal-generator degrees of mixed staircases:")
     for u, r in samples:
         spec = StairSpec(u, r)
-        cone = stair_cone(spec)
-        low = max(cone.x_len, cone.y_len)
+        low = max(spec.breaks()[-1], spec.heights()[-1])
         found = minimal_generators_search(spec, low + 3)
         degrees = sorted({sum(z) // 2 for z in found})
         print(f"  u={u} r={r}: {len(found)} generators at x-degrees {degrees}")

@@ -8,7 +8,7 @@ canonical-module generator lists, and the Hilbert series numerators.
 
 from fusscat.brackets import GFC_METHODS, gfc
 from fusscat.canonical import cm_type_stair, hilbert_numerator, stair_generators
-from fusscat.cone import stair_cone, verify_h_representation
+from fusscat.cone import verify_h_representation
 from fusscat.paths import path_count_matrix, staircase_bounds
 from fusscat.polyomino import StairSpec, krull_dim, render_ascii, stair, vertex_set
 
@@ -35,10 +35,9 @@ def main():
         values = {m: gfc(n, t, p, m) for m in GFC_METHODS}
         print(f"bracket [{n} {t}]_{p} by method: {values}")
 
-        cone = stair_cone(spec)
         report = verify_h_representation(spec)
-        print(f"cone: {len(cone.gens)} generators, "
-              f"{len(cone.normals)} halfspaces, certificate "
+        print(f"cone: {report['generator_count']} generators, "
+              f"{report['normal_count']} halfspaces, certificate "
               f"{'OK' if report['all_passed'] else 'FAILED'}")
 
         gens = stair_generators(n, t, p)

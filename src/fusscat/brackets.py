@@ -23,9 +23,6 @@ from .paths import (check_dp, count_paths_det, count_paths_dp, iter_bounded_comp
                     staircase_bounds)
 from .polyomino import StairSpec
 
-# a prefix-constrained weak composition, as produced by iter_A
-CompositionVector = tuple[int, ...]
-
 GFC_METHODS = ("enum", "dp", "det", "canonical")
 
 

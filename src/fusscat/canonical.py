@@ -18,10 +18,10 @@ canonical generators of lowest degree, and the uniform ring is level
 DP over the vertices, independent of the bracket's other routes.
 
 The general search and the Hilbert function work on any staircase,
-uniform or not, and read it off (u, r) without building the polyomino
-or its cone: the Hilbert function is a DP over the pair of x- and
-y-prefix sums, and the search keeps a point by a rule on the
-staircase's blocks and its tight steps.
+uniform or not. They take its StairSpec (u, r) and build neither the
+polyomino nor its cone: the Hilbert function is one DP table over the
+pair of x- and y-prefix sums, and the search keeps a point by a rule on
+the staircase's blocks and its tight steps.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .caps import check_volume
 from .cone import ExpVec
 from .exactmat import binomial
 from .paths import iter_bounded_compositions
-from .polyomino import Polyomino, StairSpec, stair_spec_from_polyomino
+from .polyomino import StairSpec
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def cm_type_stair(n: int, t: int, p: int, max_volume: int | None = None) -> int:
     return top_turn_count(StairSpec.uniform(n, t, p), max_volume)[1]
 
 
-def top_turn_count(P, max_volume: int | None = None) -> tuple[int, int]:
+def top_turn_count(spec: StairSpec, max_volume: int | None = None) -> tuple[int, int]:
     """(s, h_s): the most NE turns of a lattice path through the vertex
     set, and the number of paths with that many.
 
@@ -95,7 +95,6 @@ def top_turn_count(P, max_volume: int | None = None) -> tuple[int, int]:
     degree, dim - s. The DP reads the column tops off (u, r), visits each
     vertex once and is refused when the vertex count exceeds the cap.
     """
-    spec = _as_stair_spec(P)
     check_turn_count(spec, max_volume)
     heights = spec.heights()
     tops = chain(chain.from_iterable(map(repeat, heights, spec.r)), heights[-1:])
@@ -143,19 +142,11 @@ def check_turn_count(spec: StairSpec, max_volume: int | None = None):
     check_volume(spec.vertex_count(), max_volume, what="ladder turn-count DP")
 
 
-def _as_stair_spec(P) -> StairSpec:
-    if isinstance(P, StairSpec):
-        return P
-    if isinstance(P, Polyomino):
-        return stair_spec_from_polyomino(P)
-    raise TypeError(f"expected a Polyomino or StairSpec, got {type(P).__name__}")
-
-
-def minimal_generators_search(P, degree_max: int,
+def minimal_generators_search(spec: StairSpec, degree_max: int,
                               max_volume: int | None = None) -> list[ExpVec]:
     """Search the relative interior of the exponent cone degree by degree
-    for minimal canonical-module generators, on a staircase polyomino or
-    its spec, with no cone built.
+    for minimal canonical-module generators of the staircase (u, r), with
+    no cone built.
 
     A relative-interior integer point z is kept when z - g leaves the
     relative interior for every cone generator g, an edge e_i + e_j; by
@@ -169,7 +160,6 @@ def minimal_generators_search(P, degree_max: int,
     among y_(cover_k + 1) .. y_(A_k). Refused when the point-count
     estimate exceeds the cap.
     """
-    spec = _as_stair_spec(P)
     m, ny = spec.breaks()[-1], spec.heights()[-1]
     estimate = sum(
         binomial(d - 1, m - 1) * binomial(d - 1, ny - 1)
@@ -207,23 +197,27 @@ def minimal_generators_search(P, degree_max: int,
     return sorted(found)
 
 
-def hilbert_function(P, d: int, max_volume: int | None = None) -> int:
-    """Number of degree-d monomials of the staircase ring.
+def hilbert_function(spec: StairSpec, degree_max: int,
+                     max_volume: int | None = None) -> list[int]:
+    """[H(0), ..., H(degree_max)]: the number of degree-d monomials of the
+    staircase ring for each d up to degree_max.
 
-    Counts integer points of the exponent cone with x-part degree d by a
-    DP over the pair (X, Y) of x- and y-prefix sums: each coordinate is a
+    Counts integer points of the exponent cone by x-part degree with a DP
+    over the pair (X, Y) of x- and y-prefix sums: each coordinate is a
     running sum along its axis, and after each block of coordinates up to
-    a step checkpoint the cells breaking Y >= X are zeroed.
+    a step checkpoint the cells breaking Y >= X are zeroed. Every update
+    moves counts to a larger X or Y only, so the one (degree_max + 1)^2
+    table holds each H(d) in its diagonal cell (d, d).
     """
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
-    spec = _as_stair_spec(P)
+    if degree_max < 0:
+        raise ValueError(f"degree must be >= 0, got {degree_max}")
     m, ny = spec.breaks()[-1], spec.heights()[-1]
-    check_volume((m + ny) * (d + 1) ** 2, max_volume,
+    size = degree_max + 1
+    check_volume((m + ny) * size ** 2, max_volume,
                  what="Hilbert-function lattice point count")
 
     # ways[X][Y] = number of (x-prefix, y-prefix) pairs with these sums
-    ways = [[1] + [0] * d] + [[0] * (d + 1) for _ in range(d)]
+    ways = [[1] + [0] * degree_max] + [[0] * size for _ in range(degree_max)]
     xlen = ylen = 0
     for blen, alen in (*spec.step_checkpoints(), (m, ny)):
         for _ in range(blen - xlen):
@@ -233,16 +227,15 @@ def hilbert_function(P, d: int, max_volume: int | None = None) -> int:
         for X, row in enumerate(ways):
             row[:X] = [0] * X
         xlen, ylen = blen, alen
-    return ways[d][d]
+    return [ways[d][d] for d in range(size)]
 
 
-def hilbert_numerator(P, degree_max: int,
+def hilbert_numerator(spec: StairSpec, degree_max: int,
                       max_volume: int | None = None) -> list[int]:
     """Coefficients h_0..h_{degree_max} of the Hilbert series numerator,
     i.e. of (sum_d H(d) t^d) * (1 - t)^dim truncated at degree_max."""
-    spec = _as_stair_spec(P)
-    H = [hilbert_function(spec, d, max_volume) for d in range(degree_max + 1)]
-    return numerator_from_hilbert(H, spec.krull_dim())
+    return numerator_from_hilbert(hilbert_function(spec, degree_max, max_volume),
+                                  spec.krull_dim())
 
 
 def numerator_from_hilbert(H: list[int], dim: int) -> list[int]:

@@ -139,10 +139,10 @@ def _run_polyomino(args) -> dict:
         "spec": polyomino.format_stair_spec(spec),
         "cell_count": len(P),
         "cells": [list(c) for c in P.sorted_cells()],
-        "vertex_count": len(polyomino.vertex_set(P)),
-        "krull_dim": polyomino.krull_dim(P),
+        "vertex_count": spec.vertex_count(),
+        "krull_dim": spec.krull_dim(),
         "convex": polyomino.is_convex(P),
-        "inner_interval_count": len(polyomino.inner_intervals(P)),
+        "inner_interval_count": spec.inner_interval_count(),
     }
     if args.render:
         out["render"] = polyomino.render_ascii(P)
@@ -186,8 +186,7 @@ def _run_cone_verify(args) -> dict:
 
 def _run_hilbert(args) -> dict:
     spec = _spec(args)
-    values = [canonical.hilbert_function(spec, d, args.max_volume)
-              for d in range(args.dmax + 1)]
+    values = canonical.hilbert_function(spec, args.dmax, args.max_volume)
     dim = spec.krull_dim()
     return {
         "spec": polyomino.format_stair_spec(spec),

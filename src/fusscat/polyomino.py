@@ -98,6 +98,18 @@ class StairSpec:
         heights = self.heights()
         return sum(A * r for A, r in zip(heights, self.r)) + heights[-1]
 
+    def inner_interval_count(self) -> int:
+        """Number of inner intervals of the staircase. Column heights never
+        decrease to the right, so a rectangle of cells whose lowest-left
+        cell sits in column x, of height h(x) = A_k - 1, is inside iff its
+        top is at most h(x) + 1: column x starts (W - x + 1) *
+        binom(h(x) + 1, 2) of them, W = B_p - 1 the number of columns."""
+        breaks = self.breaks()
+        width = breaks[-1] - 1
+        return sum((width - x + 1) * (A * (A - 1) // 2)
+                   for A, first, stop in zip(self.heights(), breaks, breaks[1:])
+                   for x in range(first, stop))
+
     @classmethod
     def uniform(cls, n: int, t: int, p: int) -> "StairSpec":
         """The spec with u_i = n and r_i = t for all i."""
@@ -136,45 +148,6 @@ def stair(spec: StairSpec) -> Polyomino:
             for y in range(1, heights[t]):
                 cells.add((x, y))
     return Polyomino(frozenset(cells))
-
-
-def column_heights(P: Polyomino) -> dict[int, int]:
-    """Highest cell per occupied column."""
-    out: dict[int, int] = {}
-    for x, y in P.cells:
-        if y > out.get(x, 0):
-            out[x] = y
-    return out
-
-
-def stair_spec_from_polyomino(P: Polyomino) -> StairSpec:
-    """Recover (u, r) from a staircase polyomino.
-
-    Raises ValueError when P is not a bottom-aligned staircase starting
-    at (1, 1) with weakly increasing column heights.
-    """
-    heights = column_heights(P)
-    xs = sorted(heights)
-    if xs[0] != 1 or xs != list(range(1, len(xs) + 1)):
-        raise ValueError("not a staircase: columns do not form 1..W")
-    hs = [heights[x] for x in xs]
-    for x, h in zip(xs, hs):
-        for y in range(1, h + 1):
-            if (x, y) not in P.cells:
-                raise ValueError("not a staircase: column with a gap or not bottom-aligned")
-    if any(h1 > h2 for h1, h2 in zip(hs, hs[1:])):
-        raise ValueError("not a staircase: column heights must be weakly increasing")
-    u: list[int] = []
-    r: list[int] = []
-    prev_top = 1  # vertex height before the first step
-    for h in hs:
-        if r and h + 1 == prev_top:
-            r[-1] += 1
-        else:
-            u.append(h + 1 - prev_top)
-            r.append(1)
-            prev_top = h + 1
-    return StairSpec(tuple(u), tuple(r))
 
 
 def vertex_set(P: Polyomino) -> list[Point]:

@@ -23,8 +23,7 @@ from fusscat.canonical import (
 from fusscat.caps import SearchCapExceeded
 from fusscat.cone import contains, in_relint, stair_cone
 from fusscat.exactmat import binomial
-from fusscat.polyomino import (Polyomino, StairSpec, krull_dim, parse_stair_spec, stair,
-                               vertex_set)
+from fusscat.polyomino import StairSpec, krull_dim, parse_stair_spec, stair, vertex_set
 from fusscat.selftest import load_generator_golden
 
 GOLDEN_MIXED = Path(__file__).resolve().parent.parent / "bench" / "golden_mixed.json"
@@ -169,8 +168,8 @@ class TestTurnCount:
             top_turn_count(spec, max_volume=vertices - 1)
         assert refused.value.estimate == vertices
 
-    def test_polyomino_input(self):
-        assert top_turn_count(stair(P1)) == top_turn_count(P1) == (3, 55)
+    def test_reference_and_single_cell(self):
+        assert top_turn_count(P1) == (3, 55)
         assert top_turn_count(SINGLE) == (1, 1)
 
 
@@ -187,17 +186,9 @@ class TestMinimalSearch:
         found = minimal_generators_search(P1, 11)
         assert len(found) == 55
 
-    def test_accepts_polyomino_input(self):
-        by_spec = minimal_generators_search(SINGLE, 3)
-        by_poly = minimal_generators_search(stair(SINGLE), 3)
-        assert by_spec == by_poly
-        # single cell: the one interior lattice point of degree 2 is all ones
-        assert by_spec == [(1, 1, 1, 1)]
-
-    def test_rejects_non_staircase(self):
-        L = Polyomino.from_cells([(1, 1), (2, 1), (1, 2)])
-        with pytest.raises(ValueError, match="staircase"):
-            minimal_generators_search(L, 4)
+    def test_single_cell(self):
+        # the one interior lattice point of degree 2 is all ones
+        assert minimal_generators_search(SINGLE, 3) == [(1, 1, 1, 1)]
 
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
@@ -247,15 +238,15 @@ class TestMinimalSearch:
 
 class TestHilbert:
     def test_degree_zero(self):
-        assert hilbert_function(P1, 0) == 1
-        assert hilbert_function(SINGLE, 0) == 1
+        assert hilbert_function(P1, 0)[0] == 1
+        assert hilbert_function(SINGLE, 0)[0] == 1
 
     def test_degree_one_counts_vertices(self):
-        assert hilbert_function(P1, 1) == 31
-        assert hilbert_function(P2, 1) == 52
+        assert hilbert_function(P1, 1)[1] == 31
+        assert hilbert_function(P2, 1)[1] == 52
 
     def test_single_cell_numerator(self):
-        assert hilbert_function(SINGLE, 1) == 4
+        assert hilbert_function(SINGLE, 1)[1] == 4
         assert hilbert_numerator(SINGLE, 1) == [1, 1]
 
     def test_reference_numerators(self):
@@ -275,7 +266,8 @@ class TestHilbert:
     @given(stair_specs(max_p=3, max_entry=2), st.integers(0, 3))
     def test_matches_lattice_point_count(self, spec, d):
         c = stair_cone(spec)
-        expected = sum(1 for z in degree_points(c, d) if contains(c, z))
+        expected = [sum(1 for z in degree_points(c, e) if contains(c, z))
+                    for e in range(d + 1)]
         assert hilbert_function(spec, d) == expected
 
     @settings(max_examples=30, deadline=None)
@@ -284,11 +276,22 @@ class TestHilbert:
         # p = 1: every x-y pair is a vertex, so H(d) counts pairs of
         # degree-d monomials in r + 1 and u + 1 variables
         m, ny = r + 1, u + 1
-        assert hilbert_function(StairSpec((u,), (r,)), d) == (
-            binomial(d + m - 1, m - 1) * binomial(d + ny - 1, ny - 1))
+        assert hilbert_function(StairSpec((u,), (r,)), d) == [
+            binomial(e + m - 1, m - 1) * binomial(e + ny - 1, ny - 1)
+            for e in range(d + 1)]
 
-    def test_polyomino_input(self):
-        assert hilbert_function(stair(P1), 1) == 31
+    def test_numerator_reads_one_table(self, monkeypatch):
+        from fusscat import canonical
+
+        calls = []
+
+        def counting(spec, degree_max, max_volume=None):
+            calls.append(degree_max)
+            return hilbert_function(spec, degree_max, max_volume)
+
+        monkeypatch.setattr(canonical, "hilbert_function", counting)
+        assert hilbert_numerator(P2, 6) == [1, 36, 318, 960, 1071, 444, 55]
+        assert calls == [6]
 
     def test_numerator_builds_no_polyomino(self, monkeypatch):
         forbid_stair_builds(monkeypatch)
@@ -304,3 +307,7 @@ class TestHilbert:
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
             hilbert_function(P2, 6, max_volume=3)
+        # the numerator is refused on its one table to degree 6, (B_p + A_p) * 7^2
+        with pytest.raises(SearchCapExceeded) as refused:
+            hilbert_numerator(P2, 6, max_volume=500)
+        assert refused.value.estimate == (7 + 10) * 7 ** 2

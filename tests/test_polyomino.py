@@ -14,7 +14,6 @@ from fusscat.polyomino import (
     parse_stair_spec,
     render_ascii,
     stair,
-    stair_spec_from_polyomino,
     vertex_set,
 )
 
@@ -57,6 +56,11 @@ class TestStairConstruction:
     @given(stair_specs(max_p=4, max_entry=4))
     def test_vertex_count(self, spec):
         assert spec.vertex_count() == len(vertex_set(stair(spec)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(stair_specs(max_p=4, max_entry=4))
+    def test_inner_interval_count(self, spec):
+        assert spec.inner_interval_count() == len(inner_intervals(stair(spec)))
 
     @pytest.mark.parametrize("u,r", [((), ()), ((0, 1), (1, 1)), ((1,), (1, 2))])
     def test_spec_validation(self, u, r):
@@ -145,29 +149,6 @@ class TestKrullDim:
         expected = spec.heights()[-1] + spec.breaks()[-1] - 1
         assert krull_dim(P) == expected == spec.krull_dim()
         assert len(vertex_set(P)) == len(P) + expected
-
-
-class TestRecognizer:
-    @settings(max_examples=60)
-    @given(stair_specs())
-    def test_roundtrip(self, spec):
-        assert stair_spec_from_polyomino(stair(spec)) == spec
-
-    def test_rejects_decreasing_profile(self):
-        with pytest.raises(ValueError, match="staircase"):
-            stair_spec_from_polyomino(L_SHAPE)
-
-    def test_rejects_floating_column(self):
-        P = Polyomino.from_cells([(1, 1), (2, 1), (2, 2), (1, 2), (2, 3)])
-        # column 1 stops at height 2 while column 2 reaches 3: fine; but
-        # shift the first column up and the profile is no longer bottom-aligned
-        Q = Polyomino.from_cells([(1, 2), (2, 1), (2, 2), (1, 1), (2, 3)])
-        assert stair_spec_from_polyomino(P) == StairSpec((2, 1), (1, 1))
-        assert stair_spec_from_polyomino(Q) == StairSpec((2, 1), (1, 1))
-        with pytest.raises(ValueError, match="staircase"):
-            stair_spec_from_polyomino(
-                Polyomino.from_cells([(1, 1), (1, 2), (2, 2)])
-            )
 
 
 class TestRender:
