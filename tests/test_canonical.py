@@ -245,6 +245,13 @@ class TestHilbert:
         assert hilbert_function(P1, 1)[1] == 31
         assert hilbert_function(P2, 1)[1] == 52
 
+    def test_polyomino_input(self):
+        # H(1), read off (u, r) alone, counts the vertices of the staircase
+        # polyomino built from the same spec
+        assert len(vertex_set(stair(P1))) == 31
+        for spec in SMALL_SPECS:
+            assert hilbert_function(spec, 1)[1] == len(vertex_set(stair(spec))), spec
+
     def test_single_cell_numerator(self):
         assert hilbert_function(SINGLE, 1)[1] == 4
         assert hilbert_numerator(SINGLE, 1) == [1, 1]
