@@ -28,7 +28,7 @@ def mixed_generator_degrees(samples):
     print("minimal-generator degrees of mixed staircases:")
     for u, r in samples:
         spec = StairSpec(u, r)
-        low = max(spec.breaks()[-1], spec.heights()[-1])
+        low = max(spec.ambient_box())
         found = minimal_generators_search(spec, low + 3)
         degrees = sorted({sum(z) // 2 for z in found})
         print(f"  u={u} r={r}: {len(found)} generators at x-degrees {degrees}")

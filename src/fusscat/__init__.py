@@ -25,7 +25,6 @@ from .polyomino import (
 from .cone import (
     ConeRep,
     contains,
-    exponent_generators,
     facet_check,
     in_relint,
     is_extreme_generator,

@@ -27,7 +27,7 @@ the staircase's blocks and its tight steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from operator import add
 
 from .brackets import iter_A, validate_triple
@@ -96,8 +96,7 @@ def top_turn_count(spec: StairSpec, max_volume: int | None = None) -> tuple[int,
     vertex once and is refused when the vertex count exceeds the cap.
     """
     check_turn_count(spec, max_volume)
-    heights = spec.heights()
-    tops = chain(chain.from_iterable(map(repeat, heights, spec.r)), heights[-1:])
+    tops = spec.column_tops()
 
     # Over the paths from (1, 1) to (x, y), y = 1..top(x): the most NE
     # turns and how many paths reach it, among the paths whose last step
@@ -160,7 +159,7 @@ def minimal_generators_search(spec: StairSpec, degree_max: int,
     among y_(cover_k + 1) .. y_(A_k). Refused when the point-count
     estimate exceeds the cap.
     """
-    m, ny = spec.breaks()[-1], spec.heights()[-1]
+    m, ny = spec.ambient_box()
     estimate = sum(
         binomial(d - 1, m - 1) * binomial(d - 1, ny - 1)
         for d in range(degree_max + 1)
@@ -211,7 +210,7 @@ def hilbert_function(spec: StairSpec, degree_max: int,
     """
     if degree_max < 0:
         raise ValueError(f"degree must be >= 0, got {degree_max}")
-    m, ny = spec.breaks()[-1], spec.heights()[-1]
+    m, ny = spec.ambient_box()
     size = degree_max + 1
     check_volume((m + ny) * size ** 2, max_volume,
                  what="Hilbert-function lattice point count")

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import brackets, canonical, cone, paths, polyomino, selftest
-from .caps import SearchCapExceeded
+from .caps import SearchCapExceeded, check_volume
 
 
 class CliError(Exception):
@@ -134,10 +134,13 @@ def _run_paths(args) -> dict:
 
 def _run_polyomino(args) -> dict:
     spec = _spec(args)
+    cell_count = spec.cell_count()
+    # the cells list holds two integers per cell
+    check_volume(2 * cell_count, args.max_volume, what="polyomino cell list")
     P = polyomino.stair(spec)
     out = {
         "spec": polyomino.format_stair_spec(spec),
-        "cell_count": len(P),
+        "cell_count": cell_count,
         "cells": [list(c) for c in P.sorted_cells()],
         "vertex_count": spec.vertex_count(),
         "krull_dim": spec.krull_dim(),
@@ -171,7 +174,7 @@ def _run_canonical(args) -> dict:
         raise CliError("general search needs --dmax")
     spec = _spec(args)
     found = canonical.minimal_generators_search(spec, args.dmax, args.max_volume)
-    m = spec.breaks()[-1]
+    m = spec.ambient_box()[0]
     return {
         "spec": polyomino.format_stair_spec(spec),
         "degree_max": args.dmax,

@@ -1,8 +1,10 @@
 """Exponent cones of staircase polyominoes and their halfspace data.
 
-Each vertex (i, j) of a polyomino inside [(1,1), (m, n)] maps to the
-0/1 exponent vector e_i + e_{m+j} in Z^{m+n} (x-part first, then
-y-part). For a staircase the cone spanned by these vectors is cut out,
+Each vertex (i, j) of the staircase of (u, r), with (m, n) = (B_p, A_p)
+its ambient box, maps to the 0/1 exponent vector e_i + e_{m+j} in
+Z^{m+n} (x-part first, then y-part). Column i holds the vertices
+(i, 1) .. (i, top(i)), so the generators are read off the column tops
+of (u, r) with no polyomino built. The cone they span is cut out,
 inside the hyperplane "x-degree = y-degree", by the unit halfspaces
 together with one extra normal per inner step of the staircase.
 
@@ -22,39 +24,13 @@ from operator import itemgetter, mul
 
 from .caps import check_volume
 from .exactmat import Matrix, rank_exact
-from .polyomino import Polyomino, StairSpec, format_stair_spec, stair, vertex_set
+from .polyomino import StairSpec, format_stair_spec
 
 ExpVec = tuple[int, ...]
 
 
 def dot(u: ExpVec, v: ExpVec) -> int:
     return sum(map(mul, u, v))
-
-
-def exponent_vector(vertex, x_len: int, y_len: int) -> ExpVec:
-    i, j = vertex
-    if not (1 <= i <= x_len and 1 <= j <= y_len):
-        raise ValueError(f"vertex {vertex} outside [(1,1),({x_len},{y_len})]")
-    vec = [0] * (x_len + y_len)
-    vec[i - 1] = 1
-    vec[x_len + j - 1] += 1
-    return tuple(vec)
-
-
-def ambient_box(P: Polyomino) -> tuple[int, int]:
-    """Smallest (m, n) with all vertices inside [(1,1), (m, n)]."""
-    verts = vertex_set(P)
-    return max(v[0] for v in verts), max(v[1] for v in verts)
-
-
-def exponent_generators(P: Polyomino, x_len: int | None = None,
-                        y_len: int | None = None) -> list[ExpVec]:
-    """The vectors e_i + e_{m+j} over vertices (i, j), sorted."""
-    if x_len is None or y_len is None:
-        m, n = ambient_box(P)
-        x_len = m if x_len is None else x_len
-        y_len = n if y_len is None else y_len
-    return [exponent_vector(v, x_len, y_len) for v in vertex_set(P)]
 
 
 def stair_normals(spec: StairSpec) -> tuple[list[ExpVec], ExpVec]:
@@ -65,7 +41,7 @@ def stair_normals(spec: StairSpec) -> tuple[list[ExpVec], ExpVec]:
     normal separating x-degree from y-degree. The step normal for s has
     -1 on x-coordinates 1..B_s - 1 and +1 on y-coordinates 1..A_s.
     """
-    m, n = spec.breaks()[-1], spec.heights()[-1]
+    m, n = spec.ambient_box()
     ambient = m + n
     normals: list[ExpVec] = [
         (-1,) * blen + (0,) * (m - blen) + (1,) * alen + (0,) * (n - alen)
@@ -143,17 +119,21 @@ class ConeRep:
 def stair_cone(spec: StairSpec, max_volume: int | None = None) -> ConeRep:
     """The exponent cone of the staircase of spec with the normals of
     stair_normals, for the certificate; the search and the Hilbert data
-    build no cone. Refused before anything is built when its |V|
-    generators times its p - 1 + B_p + A_p normals exceed the cap. That
-    bounds the entries of the dense generator vectors (of length
-    B_p + A_p) and the edge steps of the certificate's facet checks."""
-    m, n = spec.breaks()[-1], spec.heights()[-1]
+    build no cone. The generators e_i + e_(m+j), j = 1..top(i), come in
+    the lexicographic order of the vertices (i, j). Refused before any
+    column is visited when its |V| generators times its p - 1 + B_p + A_p
+    normals exceed the cap. That bounds the entries of the dense
+    generator vectors (of length B_p + A_p) and the edge steps of the
+    certificate's facet checks."""
+    m, n = spec.ambient_box()
     check_volume(spec.vertex_count() * (spec.p - 1 + m + n), max_volume,
                  what="staircase cone (generators x normals)")
-    P = stair(spec)
-    gens = tuple(exponent_generators(P, m, n))
+    gens = []
+    for i, top in enumerate(spec.column_tops()):
+        x_part = (0,) * i + (1,) + (0,) * (m - 1 - i)
+        gens.extend(x_part + (0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(top))
     normals, nu = stair_normals(spec)
-    return ConeRep(gens, tuple(normals), nu, m, n)
+    return ConeRep(tuple(gens), tuple(normals), nu, m, n)
 
 
 def _check_dim(c: ConeRep, z: ExpVec):

@@ -10,8 +10,9 @@ B_k = 1 + r_1 + ... + r_k mark the height and column breakpoints.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 Cell = tuple[int, int]
 Point = tuple[int, int]
@@ -30,10 +31,6 @@ class Polyomino:
                 raise ValueError(f"cell {x, y} outside the positive quadrant")
         if not _connected(self.cells):
             raise ValueError("cells are not edge-connected")
-
-    @classmethod
-    def from_cells(cls, cells) -> "Polyomino":
-        return cls(frozenset(tuple(c) for c in cells))
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -82,6 +79,20 @@ class StairSpec:
         """B_0..B_p with B_0 = 1 and B_k = 1 + sum(r[:k])."""
         return (1,) + tuple(1 + s for s in accumulate(self.r))
 
+    def ambient_box(self) -> tuple[int, int]:
+        """(B_p, A_p): the smallest (m, n) with every vertex of the
+        staircase inside [(1, 1), (m, n)]."""
+        return 1 + sum(self.r), 1 + sum(self.u)
+
+    def column_tops(self) -> Iterator[int]:
+        """The top of each vertex column x = 1..B_p, lazily: A_k for each
+        of the r_k columns B_(k-1) .. B_k - 1 of step k, then A_p for the
+        last column B_p. Column x holds the vertices (x, 1) .. (x, top)."""
+        heights = self.heights()
+        for A, r in zip(heights, self.r):
+            yield from repeat(A, r)
+        yield heights[-1]
+
     def step_checkpoints(self) -> tuple[tuple[int, int], ...]:
         """(B_s - 1, A_s) per inner step s = 1..p-1: the x- and y-prefix
         lengths of the step inequality Y_(A_s) >= X_(B_s - 1) of the cone."""
@@ -90,7 +101,8 @@ class StairSpec:
     def krull_dim(self) -> int:
         """B_p + A_p - 1, the Krull dimension |V| - |cells| of the
         staircase, read off (u, r) without building it."""
-        return self.breaks()[-1] + self.heights()[-1] - 1
+        m, n = self.ambient_box()
+        return m + n - 1
 
     def vertex_count(self) -> int:
         """Number of vertices of the staircase: a column B_(k-1) .. B_k - 1
@@ -98,17 +110,20 @@ class StairSpec:
         heights = self.heights()
         return sum(A * r for A, r in zip(heights, self.r)) + heights[-1]
 
+    def cell_count(self) -> int:
+        """Number of cells of the staircase: r_k columns of height A_k - 1
+        per step k."""
+        return sum(r * (A - 1) for A, r in zip(self.heights(), self.r))
+
     def inner_interval_count(self) -> int:
         """Number of inner intervals of the staircase. Column heights never
         decrease to the right, so a rectangle of cells whose lowest-left
-        cell sits in column x, of height h(x) = A_k - 1, is inside iff its
-        top is at most h(x) + 1: column x starts (W - x + 1) *
-        binom(h(x) + 1, 2) of them, W = B_p - 1 the number of columns."""
-        breaks = self.breaks()
-        width = breaks[-1] - 1
-        return sum((width - x + 1) * (A * (A - 1) // 2)
-                   for A, first, stop in zip(self.heights(), breaks, breaks[1:])
-                   for x in range(first, stop))
+        cell sits in column x, of height h(x) = top(x) - 1, is inside iff
+        its top is at most h(x) + 1: column x starts (B_p - x) *
+        binom(h(x) + 1, 2) of them, none for the last vertex column B_p."""
+        m = self.ambient_box()[0]
+        return sum((m - x) * (top * (top - 1) // 2)
+                   for x, top in enumerate(self.column_tops(), start=1))
 
     @classmethod
     def uniform(cls, n: int, t: int, p: int) -> "StairSpec":
@@ -147,7 +162,7 @@ def stair(spec: StairSpec) -> Polyomino:
         for x in range(breaks[t], breaks[t + 1]):
             for y in range(1, heights[t]):
                 cells.add((x, y))
-    return Polyomino(frozenset(cells))
+    return Polyomino(cells)
 
 
 def vertex_set(P: Polyomino) -> list[Point]:

@@ -222,7 +222,7 @@ def check_inner_minor_identity(p_max=3, entry_max=3):
     bad = []
     for spec in iter_stair_specs(p_max, entry_max):
         P = polyomino.stair(spec)
-        m, n = cone.ambient_box(P)
+        m, n = spec.ambient_box()
         for iv in polyomino.inner_intervals(P):
             left = sorted((iv.a[0], m + iv.a[1], iv.b[0], m + iv.b[1]))
             right = sorted((iv.c[0], m + iv.c[1], iv.d[0], m + iv.d[1]))

@@ -95,14 +95,19 @@ def stair_specs(draw, max_p=3, max_entry=3):
     return StairSpec(u, r)
 
 
-def forbid_stair_builds(monkeypatch):
-    """Make `stair` and `stair_cone` raise under every name that a fusscat
-    module holds them by, for the rest of the test."""
+def forbid_calls(monkeypatch, *functions):
+    """Make each of functions raise under every name that a fusscat module
+    holds it by, for the rest of the test."""
     def refuse(*args, **kwargs):
-        raise AssertionError("built a staircase polyomino or cone")
+        raise AssertionError("called a forbidden function")
 
     for name, module in list(sys.modules.items()):
         if name == "fusscat" or name.startswith("fusscat."):
             for key, value in list(vars(module).items()):
-                if value is stair or value is stair_cone:
+                if any(value is f for f in functions):
                     monkeypatch.setattr(module, key, refuse)
+
+
+def forbid_stair_builds(monkeypatch):
+    """Make `stair` and `stair_cone` raise, for the rest of the test."""
+    forbid_calls(monkeypatch, stair, stair_cone)

@@ -91,6 +91,17 @@ class TestPolyominoCommand:
         doc = run_json(capsys, "polyomino", "--u", "1", "--r", "1", "--render")
         assert doc["render"] == "#"
 
+    def test_cell_list_cap(self, capsys, monkeypatch):
+        # the cells list of the 18 cells holds 36 integers
+        argv = ("polyomino", "--u", "3,3,3", "--r", "1,1,1")
+        doc = run_json(capsys, "--max-volume", "36", *argv)
+        assert len(doc["cells"]) == doc["cell_count"] == 18
+        forbid_stair_builds(monkeypatch)
+        code, out, err = run_cli(capsys, "--max-volume", "35", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: refusing polyomino cell list: estimated volume 36 ")
+
 
 class TestConeVerifyCommand:
     def test_single_cell(self, capsys):
@@ -203,9 +214,12 @@ class TestExitCodes:
         (("cone-verify", "--u", "200,200", "--r", "200,200"), "staircase cone"),
         (("cone-verify", "--u", "100,100", "--r", "100,100"), "volume 12251603 "),
         (("--max-volume", "15", "cone-verify", "--u", "1", "--r", "1"), "volume 16 "),
+        # 6,750,000 cells, two integers each in the cells list
+        (("polyomino", "--u", "1500,1500", "--r", "1500,1500"), "volume 13500000 "),
         # 16,004,000 vertices; enum, dp and det would answer first
         (("gfc", "--n", "4000", "--t", "3999", "--p", "1"), "ladder turn-count DP"),
-    ], ids=["cone-verify-200", "cone-verify-100", "cone-verify-cap", "gfc-all-canonical"])
+    ], ids=["cone-verify-200", "cone-verify-100", "cone-verify-cap", "polyomino-1500",
+            "gfc-all-canonical"])
     def test_refused_before_building(self, capsys, argv, fragment):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -8,11 +8,9 @@ from hypothesis import example, given, settings
 from fusscat import cone
 from fusscat.cone import (
     _edge_rank,
-    ambient_box,
     certify,
     contains,
     dot,
-    exponent_generators,
     facet_check,
     in_relint,
     is_extreme_generator,
@@ -22,9 +20,9 @@ from fusscat.cone import (
 )
 from fusscat.caps import SearchCapExceeded
 from fusscat.exactmat import Matrix, rank_exact
-from fusscat.polyomino import StairSpec, stair
+from fusscat.polyomino import StairSpec, stair, vertex_set
 
-from conftest import rank_fractions, stair_specs
+from conftest import forbid_calls, rank_fractions, stair_specs
 
 P1 = StairSpec((3, 3, 3), (1, 1, 1))
 P2 = StairSpec((3, 3, 3), (2, 2, 2))
@@ -50,7 +48,7 @@ def vec_sum(vectors):
 
 class TestGenerators:
     def test_single_cell(self):
-        gens = exponent_generators(stair(SINGLE))
+        gens = stair_cone(SINGLE).gens
         assert len(gens) == 4
         assert set(gens) == {
             (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1),
@@ -58,8 +56,8 @@ class TestGenerators:
 
     def test_first_reference_matches_ring_display(self):
         # x_1 y_1..y_4, x_2 y_1..y_7, x_3 y_1..y_10, x_4 y_1..y_10
-        P = stair(P1)
-        assert ambient_box(P) == (4, 10)
+        c = stair_cone(P1)
+        assert (c.x_len, c.y_len) == (4, 10)
         expected = set()
         for i, top in ((1, 4), (2, 7), (3, 10), (4, 10)):
             for j in range(1, top + 1):
@@ -67,17 +65,30 @@ class TestGenerators:
                 vec[i - 1] = 1
                 vec[4 + j - 1] = 1
                 expected.add(tuple(vec))
-        assert set(exponent_generators(P)) == expected
+        assert set(c.gens) == expected
         assert len(expected) == 31
 
     def test_second_reference_contains_corner(self):
-        P = stair(P2)
-        gens = set(exponent_generators(P))
+        gens = set(stair_cone(P2).gens)
         assert len(gens) == 52
         corner = [0] * 17
         corner[7 - 1] = 1  # x_7
         corner[7 + 10 - 1] = 1  # y_10
         assert tuple(corner) in gens
+
+    @settings(max_examples=60, deadline=None)
+    @given(stair_specs(max_p=4, max_entry=4))
+    def test_generators_are_the_vertices_in_order(self, spec):
+        # the cell-by-cell staircase is the oracle: its sorted vertices
+        # (i, j) map to e_i + e_(m+j), its columns end at their tops
+        verts = vertex_set(stair(spec))
+        m, n = max(i for i, _ in verts), max(j for _, j in verts)
+        assert spec.ambient_box() == (m, n)
+        assert list(spec.column_tops()) == [max(j for i, j in verts if i == x)
+                                            for x in range(1, m + 1)]
+        expected = [tuple(int(k in (i - 1, m + j - 1)) for k in range(m + n))
+                    for i, j in verts]
+        assert list(stair_cone(spec).gens) == expected
 
 
 class TestNormals:
@@ -298,12 +309,12 @@ class TestCap:
         assert refused.value.estimate == volume
 
     def test_refused_before_the_polyomino_is_built(self, monkeypatch):
-        def refuse(spec):
-            raise AssertionError("stair built")
-
-        monkeypatch.setattr(cone, "stair", refuse)
+        # the cone is read off (u, r): with no polyomino to build, the
+        # refusal comes first and a certificate still passes
+        forbid_calls(monkeypatch, stair, vertex_set)
         with pytest.raises(SearchCapExceeded):
             verify_h_representation(StairSpec((200, 200), (200, 200)))
+        assert verify_h_representation(P2)["all_passed"]
 
     def test_certificate_passes_the_cap_through(self):
         with pytest.raises(SearchCapExceeded):

@@ -21,8 +21,8 @@ from conftest import stair_specs
 
 GOLDEN = Path(__file__).parent / "golden"
 
-L_SHAPE = Polyomino.from_cells([(1, 1), (2, 1), (1, 2)])
-U_SHAPE = Polyomino.from_cells([(1, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+L_SHAPE = Polyomino([(1, 1), (2, 1), (1, 2)])
+U_SHAPE = Polyomino([(1, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
 
 
 class TestStairConstruction:
@@ -59,6 +59,11 @@ class TestStairConstruction:
 
     @settings(max_examples=40, deadline=None)
     @given(stair_specs(max_p=4, max_entry=4))
+    def test_cell_count(self, spec):
+        assert spec.cell_count() == len(stair(spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(stair_specs(max_p=4, max_entry=4))
     def test_inner_interval_count(self, spec):
         assert spec.inner_interval_count() == len(inner_intervals(stair(spec)))
 
@@ -82,11 +87,11 @@ class TestPolyominoValidation:
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="edge-connected"):
-            Polyomino.from_cells([(1, 1), (2, 2)])
+            Polyomino([(1, 1), (2, 2)])
 
     def test_rejects_out_of_quadrant(self):
         with pytest.raises(ValueError):
-            Polyomino.from_cells([(0, 1), (1, 1)])
+            Polyomino([(0, 1), (1, 1)])
 
 
 class TestConvexity:
@@ -107,7 +112,7 @@ class TestInnerIntervals:
         assert ivs == [InnerInterval((1, 1), (2, 2), (1, 2), (2, 1))]
 
     def test_horizontal_domino(self):
-        P = Polyomino.from_cells([(1, 1), (2, 1)])
+        P = Polyomino([(1, 1), (2, 1)])
         ivs = inner_intervals(P)
         assert len(ivs) == 3
         assert {(iv.a, iv.b) for iv in ivs} == {
