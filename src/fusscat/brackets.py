@@ -34,13 +34,19 @@ def validate_triple(n: int, t: int, p: int):
         raise ValueError(f"require p >= 1, got p={p}")
 
 
-def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
-    """Refuse iter_A(n, t, p) when the unconstrained stars-and-bars count
-    exceeds the cap; the prefix constraints only shrink the true search
-    tree."""
+def enum_volume(n: int, t: int, p: int) -> int:
+    """The cap estimate of iter_A(n, t, p): the unconstrained
+    stars-and-bars count times the tuple length p*t + 1, i.e. the entries
+    a full listing holds; the prefix constraints only shrink the true
+    search tree."""
     parts = p * t + 1
     total = p * (n - t)
-    check_volume(binomial(total + parts - 1, parts - 1), max_volume,
+    return binomial(total + parts - 1, parts - 1) * parts
+
+
+def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
+    """Refuse iter_A(n, t, p) when enum_volume exceeds the cap."""
+    check_volume(enum_volume(n, t, p), max_volume,
                  what=f"composition enumeration for (n,t,p)=({n},{t},{p})")
 
 

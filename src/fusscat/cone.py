@@ -8,12 +8,20 @@ of (u, r) with no polyomino built. The cone they span is cut out,
 inside the hyperplane "x-degree = y-degree", by the unit halfspaces
 together with one extra normal per inner step of the staircase.
 
-The certificate works on the bipartite (Ferrers) graph whose edges are
-the generators. Facet and dimension ranks are edge-graph ranks, counted
-by union-find. Extremality runs an exact elimination on the columns that
-no unit normal covers, once per distinct active matrix of a cone: the
-ranks are memoised on the ConeRep instance. Completeness compares each
-x-coordinate's neighbours with the y-prefix that the normals allow.
+The certificate works on the bipartite (Ferrers) graph G whose edges are
+the generators; the rank of a set of edge vectors is the number of
+vertices it touches minus its connected components (Valencia-Villarreal,
+Eur. J. Combin. 24, 2003). The face of the unit normal e_k holds the
+edges that miss k, so it has rank ambient_dim - 2, i.e. is a facet,
+iff G - k is connected (on its ambient_dim - 1 >= 2 vertices). One
+iterative lowpoint pass over G finds its cut vertices, and so decides
+every unit normal at once. The p - 1 step normals and the dimension
+check count their ranks by union-find. Extremality runs an exact
+elimination on the columns that no unit normal covers, once per
+distinct active matrix of a cone: the ranks are memoised on the ConeRep
+instance. Completeness compares each x-coordinate's neighbours with the
+y-prefix that the normals allow. A cone with |E| edges and p - 1 step
+normals costs O(|E|·p) edge steps plus the extremality ranks.
 """
 
 from __future__ import annotations
@@ -89,11 +97,75 @@ class ConeRep:
         """The support (i, j) of each generator e_i + e_j, i < x_len <= j."""
         out = []
         for g in self.gens:
-            support = [k for k, v in enumerate(g) if v]
-            if [g[k] for k in support] != [1, 1] or not support[0] < self.x_len <= support[1]:
+            if g.count(1) != 2 or g.count(0) != len(g) - 2:
                 raise ValueError(f"generator {g} is not an x-y edge vector e_i + e_j")
-            out.append(tuple(support))
+            i = g.index(1)
+            j = g.index(1, i + 1)
+            if not i < self.x_len <= j:
+                raise ValueError(f"generator {g} is not an x-y edge vector e_i + e_j")
+            out.append((i, j))
         return tuple(out)
+
+    @cached_property
+    def unit_coords(self) -> dict[ExpVec, int | None]:
+        """Each normal, mapped to k if it is the unit normal e_k and to
+        None otherwise."""
+        return {a: _unit_coord(a) for a in self.normals}
+
+    @cached_property
+    def unit_facets(self) -> frozenset[int]:
+        """The k for which G - k, the edge graph without vertex k, is
+        connected on its ambient_dim - 1 >= 2 vertices.
+
+        A connected G loses connectivity exactly at its cut vertices,
+        found by one iterative lowpoint DFS (Hopcroft-Tarjan): a non-root
+        v is a cut vertex iff some DFS child w has low[w] >= order[v], the
+        root iff it has two DFS children. A disconnected G - k arises from
+        a disconnected G unless G is one component plus the isolated
+        vertex k.
+        """
+        size = self.ambient_dim
+        adjacent: list[list[int]] = [[] for _ in range(size)]
+        for i, j in self.edges:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        isolated = [k for k in range(size) if not adjacent[k]]
+        if size < 3 or len(isolated) > 1:
+            return frozenset()
+        root = next(k for k in range(size) if adjacent[k])
+        order = [0] * size
+        low = [0] * size
+        order[root] = low[root] = visited = 1
+        cut = set()
+        root_children = 0
+        stack = [(root, iter(adjacent[root]))]
+        while stack:
+            v, neighbours = stack[-1]
+            for w in neighbours:
+                if not order[w]:
+                    visited += 1
+                    order[w] = low[w] = visited
+                    stack.append((w, iter(adjacent[w])))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if parent == root:
+                        root_children += 1
+                    elif low[v] >= order[parent]:
+                        cut.add(parent)
+        if visited < size - len(isolated):
+            return frozenset()
+        if isolated:
+            return frozenset(isolated)
+        if root_children > 1:
+            cut.add(root)
+        return frozenset(range(size)).difference(cut)
 
     @cached_property
     def gen_index(self) -> dict[ExpVec, int]:
@@ -103,13 +175,13 @@ class ConeRep:
     @cached_property
     def uncovered(self) -> tuple[int, ...]:
         """The coordinates k whose unit normal e_k is not listed."""
-        units = set(map(_unit_coord, self.normals))
+        units = set(self.unit_coords.values())
         return tuple(k for k in range(self.ambient_dim) if k not in units)
 
     @cached_property
     def other_normals(self) -> tuple[ExpVec, ...]:
         """The normals that are not unit normals, in order."""
-        return tuple(a for a in self.normals if _unit_coord(a) is None)
+        return tuple(a for a in self.normals if self.unit_coords[a] is None)
 
     @cached_property
     def rank_memo(self) -> dict[tuple[tuple[int, ...], ...], int]:
@@ -196,9 +268,10 @@ def is_extreme_generator(c: ConeRep, g: ExpVec) -> bool:
     # A unit normal e_k is inactive at g for k in {i, j}; otherwise it is
     # active and the only pivot its column needs. Leave out its row and
     # column, and rank what the other normals leave on the other columns.
-    free = sorted({i, j}.union(c.uncovered))
-    active = [a for a in c.other_normals if a[i] + a[j] == 0] + [c.nu]
-    rows = tuple(row for row in map(itemgetter(*free), active) if any(row))
+    free = sorted({i, j}.union(c.uncovered)) if c.uncovered else (i, j)
+    active = [a for a in c.other_normals if a[i] + a[j] == 0]
+    active.append(c.nu)
+    rows = tuple(filter(any, map(itemgetter(*free), active)))
     rank = c.rank_memo.get(rows)
     if rank is None:
         rank = c.rank_memo[rows] = rank_exact(Matrix.from_rows(rows))
@@ -209,10 +282,19 @@ def facet_check(c: ConeRep, a: ExpVec) -> bool:
     """Is H_a a facet of the cone (one dimension below the cone itself)?
 
     The cone lives in the hyperplane of nu, so a facet has rank
-    ambient_dim - 2 worth of generators on it.
+    ambient_dim - 2 worth of generators on it. For a unit normal e_k
+    the face is the edge graph G without vertex k; its rank is
+    ambient_dim - 2 iff G - k is connected with at least one edge
+    (Valencia-Villarreal), which c.unit_facets reads off G's cut
+    vertices. Any other normal counts the rank of its face by
+    union-find.
     """
-    if a not in c.normals:
-        raise ValueError(f"{a} is not one of the cone's inequality normals")
+    try:
+        k = c.unit_coords[a]
+    except (KeyError, TypeError):
+        raise ValueError(f"{a} is not one of the cone's inequality normals") from None
+    if k is not None:
+        return k in c.unit_facets
     on_face = [(i, j) for i, j in c.edges if a[i] + a[j] == 0]
     return bool(on_face) and _edge_rank(on_face, c.ambient_dim) == c.ambient_dim - 2
 

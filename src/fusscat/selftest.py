@@ -86,13 +86,18 @@ def check_example_t2():
 
 def check_symmetry_and_methods(n_max=6, p_max=4):
     """Criterion 3: bracket symmetry in t and agreement of all four
-    methods over the sweep range."""
+    methods over the sweep range. The sweep is fixed, so it runs under
+    the estimate of its largest enumeration; at the defaults that is
+    binom(24, 12) compositions of 13 entries at (6, 3, 4), above the
+    default cap (the walk there lists 1,205,961 of them)."""
     bad = []
+    cap = max(brackets.enum_volume(n, t, p) for n in range(2, n_max + 1)
+              for p in range(1, p_max + 1) for t in range(1, n))
     for n in range(2, n_max + 1):
         for p in range(1, p_max + 1):
             values = {}
             for t in range(1, n):
-                per_method = {m: brackets.gfc(n, t, p, m) for m in brackets.GFC_METHODS}
+                per_method = {m: brackets.gfc(n, t, p, m, cap) for m in brackets.GFC_METHODS}
                 if len(set(per_method.values())) != 1:
                     bad.append((n, t, p, "methods", per_method))
                 values[t] = per_method["det"]

@@ -114,18 +114,23 @@ class TestIndependentRoutes:
 
 
 class TestCheckMethods:
-    def test_first_refusing_method_in_order(self):
-        # (3, 2, 1): enum's estimate 3, dp's 4 cells, canonical's 12 vertices
+    def test_first_refusing_method_in_order(self, monkeypatch):
+        # (3, 2, 1): enum's estimate 3 compositions x 3 entries, dp's 4
+        # cells, canonical's 12 vertices
         brackets.check_methods(3, 2, 1, max_volume=12)
-        for cap, what in ((11, "ladder turn-count DP"), (3, "path-count DP"),
-                          (2, "composition enumeration")):
+        for cap, what in ((11, "ladder turn-count DP"), (8, "composition enumeration")):
             with pytest.raises(SearchCapExceeded, match=what):
                 brackets.check_methods(3, 2, 1, max_volume=cap)
+        # enum's estimate is above dp's, so only with enum's check gone
+        # does dp's refusal show
+        monkeypatch.setattr(brackets, "check_enum", lambda *args: None)
+        with pytest.raises(SearchCapExceeded, match="path-count DP"):
+            brackets.check_methods(3, 2, 1, max_volume=3)
 
     def test_estimates_are_the_routes_own(self):
         # each route answers at the estimate the pre-check uses, and is
         # refused one below it
-        for method, volume in (("enum", 3), ("dp", 4), ("canonical", 12)):
+        for method, volume in (("enum", 9), ("dp", 4), ("canonical", 12)):
             assert gfc(3, 2, 1, method, max_volume=volume) == 3
             with pytest.raises(SearchCapExceeded) as refused:
                 gfc(3, 2, 1, method, max_volume=volume - 1)

@@ -189,11 +189,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("paths", "--a", "100000000000"),
-        # the enumeration estimate binom(3, 2) = 3 fits the cap, the 4 DP
-        # cells do not
+        # the 4 DP cells do not fit the cap; under --method all the
+        # enumeration's larger estimate would refuse first
         ("--max-volume", "3", "gfc", "--n", "3", "--t", "2", "--p", "1",
-         "--method", "all"),
-    ], ids=["paths-dp-tall", "gfc-all-dp-over-cap"])
+         "--method", "dp"),
+    ], ids=["paths-dp-tall", "gfc-dp-over-cap"])
     def test_dp_over_cap_is_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -216,8 +216,9 @@ class TestExitCodes:
         (("--max-volume", "15", "cone-verify", "--u", "1", "--r", "1"), "volume 16 "),
         # 6,750,000 cells, two integers each in the cells list
         (("polyomino", "--u", "1500,1500", "--r", "1500,1500"), "volume 13500000 "),
-        # 16,004,000 vertices; enum, dp and det would answer first
-        (("gfc", "--n", "4000", "--t", "3999", "--p", "1"), "ladder turn-count DP"),
+        # 3163 * 3162 = 10,001,406 vertices; enum (3162 compositions of
+        # 3162 entries), dp and det would answer first
+        (("gfc", "--n", "3162", "--t", "3161", "--p", "1"), "ladder turn-count DP"),
     ], ids=["cone-verify-200", "cone-verify-100", "cone-verify-cap", "polyomino-1500",
             "gfc-all-canonical"])
     def test_refused_before_building(self, capsys, argv, fragment):
@@ -233,15 +234,15 @@ class TestExitCodes:
         assert doc["all_passed"] is True
 
     def test_gfc_all_refuses_before_any_method_runs(self, capsys, monkeypatch):
-        # enum's estimate binom(4, 1) and dp's 4 cells fit a cap of 5, the
-        # turn-count DP's 10 vertices do not
+        # enum's estimate binom(4, 1) * 2 = 8 and dp's 4 cells fit a cap of
+        # 9, the turn-count DP's 10 vertices do not
         def refuse(*args, **kwargs):
             raise AssertionError("a method ran")
 
         for name in ("iter_A", "count_paths_dp", "count_paths_det"):
             monkeypatch.setattr(brackets, name, refuse)
         monkeypatch.setattr(canonical, "top_turn_count", refuse)
-        code, out, err = run_cli(capsys, "--max-volume", "5", "gfc", "--n", "4",
+        code, out, err = run_cli(capsys, "--max-volume", "9", "gfc", "--n", "4",
                                  "--t", "1", "--p", "1")
         assert code == 2
         assert out == ""

@@ -38,6 +38,21 @@ def bipartite_edges(draw):
     return m + n, draw(st.lists(edge, max_size=12))
 
 
+def edge_cone(size, edges):
+    """A cone whose generators are the edge vectors of (size, edges), as
+    bipartite_edges draws them; it lists no normals."""
+    x_len = 1 + max((i for i, _ in edges), default=0)
+    gens = tuple(tuple(int(k in e) for k in range(size)) for e in edges)
+    return cone.ConeRep(gens, (), (0,) * size, x_len, size - x_len)
+
+
+def union_find_facet(c, a):
+    """facet_check's oracle: the rank of a's face by union-find, for
+    every normal."""
+    on_face = [(i, j) for i, j in c.edges if a[i] + a[j] == 0]
+    return bool(on_face) and _edge_rank(on_face, c.ambient_dim) == c.ambient_dim - 2
+
+
 def vec_sum(vectors):
     out = [0] * len(vectors[0])
     for v in vectors:
@@ -217,6 +232,8 @@ class TestFacets:
         c = stair_cone(SINGLE)
         with pytest.raises(ValueError, match="not one of"):
             facet_check(c, (1, 1, 0, 0))
+        with pytest.raises(ValueError, match="not one of"):
+            facet_check(c, [1, 0, 0, 0])
 
     @settings(max_examples=25, deadline=None)
     @given(stair_specs(max_p=2, max_entry=2))
@@ -261,6 +278,45 @@ class TestEdgeRank:
         size, edges = case
         vectors = [tuple(int(k in e) for k in range(size)) for e in edges]
         assert _edge_rank(edges, size) == rank_fractions(vectors, size)
+
+
+class TestUnitFacets:
+    @given(bipartite_edges())
+    @example((4, [(0, 2), (1, 2), (1, 3)]))  # the path 0-2-1-3: 2 and 1 cut it
+    @example((5, [(0, 1), (0, 2), (0, 3), (0, 4)]))  # a star centred on the DFS root
+    @example((4, [(0, 3), (1, 3), (2, 3)]))  # a star centred off the root
+    @example((4, [(0, 2), (1, 3)]))  # two components
+    @example((4, [(0, 2), (0, 3)]))  # vertex 1 isolated beside the path 2-0-3
+    @example((5, [(0, 3), (1, 4)]))  # two components and an isolated vertex
+    @example((4, [(0, 2), (0, 2), (1, 2), (1, 3), (0, 3)]))  # a cycle, one edge twice
+    @example((3, [(0, 2), (0, 2), (1, 2)]))  # a doubled edge into a cut vertex
+    @example((2, [(0, 1)]))
+    @example((3, [(0, 1), (0, 2)]))
+    @example((3, [(0, 2), (1, 2)]))
+    @example((3, []))
+    def test_cut_vertices_match_union_find(self, case):
+        size, edges = case
+        facets = edge_cone(size, edges).unit_facets
+        for k in range(size):
+            face = [e for e in edges if k not in e]
+            assert (k in facets) == (bool(face) and _edge_rank(face, size) == size - 2), k
+
+    def test_dropped_generator_reports_match_the_union_find_oracle(self, monkeypatch):
+        # a staircase's edge graph has no cut vertex, so only mutants reach
+        # the unit normals' False branch
+        mutants = []
+        for p in range(1, 4):
+            for u, r in product(product((1, 2), repeat=p), repeat=2):
+                c = stair_cone(StairSpec(u, r))
+                assert c.unit_facets == frozenset(range(c.ambient_dim))
+                mutants += [replace(c, gens=c.gens[:k] + c.gens[k + 1:])
+                            for k in range(len(c.gens))]
+        reports = [certify(m) for m in mutants]
+        monkeypatch.setattr(cone, "facet_check", union_find_facet)
+        assert reports == [certify(m) for m in mutants]
+        unit_failures = [a for report in reports for a in report["checks"]["facets"]["failures"]
+                         if sum(map(abs, a)) == 1]
+        assert (len(mutants), len(unit_failures)) == (1749, 260)
 
 
 class TestCompleteness:
