@@ -25,6 +25,7 @@ from .polyomino import (
 from .cone import (
     ConeRep,
     contains,
+    edge_vector,
     facet_check,
     in_relint,
     is_extreme_generator,

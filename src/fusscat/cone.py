@@ -2,11 +2,13 @@
 
 Each vertex (i, j) of the staircase of (u, r), with (m, n) = (B_p, A_p)
 its ambient box, maps to the 0/1 exponent vector e_i + e_{m+j} in
-Z^{m+n} (x-part first, then y-part). Column i holds the vertices
-(i, 1) .. (i, top(i)), so the generators are read off the column tops
-of (u, r) with no polyomino built. The cone they span is cut out,
-inside the hyperplane "x-degree = y-degree", by the unit halfspaces
-together with one extra normal per inner step of the staircase.
+Z^{m+n} (x-part first, then y-part). A cone holds its generators as
+that edge list, the pairs (i - 1, m + j - 1) of 0-based coordinates,
+and builds no dense vector. Column i holds the vertices
+(i, 1) .. (i, top(i)), so the edges are read off the column tops of
+(u, r) with no polyomino built. The cone they span is cut out, inside
+the hyperplane "x-degree = y-degree", by the unit halfspaces together
+with one extra normal per inner step of the staircase.
 
 The certificate works on the bipartite (Ferrers) graph G whose edges are
 the generators; the rank of a set of edge vectors is the number of
@@ -70,41 +72,36 @@ def _unit_coord(a: ExpVec) -> int | None:
 
 @dataclass(frozen=True)
 class ConeRep:
-    """A cone given by generators plus a candidate halfspace description.
+    """A cone given by its generators, as an edge list, plus a candidate
+    halfspace description.
 
-    Invariants (certified by verify_h_representation and the tests, not
-    re-checked on every construction): every generator g satisfies
-    dot(g, nu) == 0 and dot(g, a) >= 0 for every a in normals, and is an
-    edge vector (`edges` checks this on first use). The cached properties
-    are derived from the fields once per instance; `rank_memo` maps each
-    active matrix that is_extreme_generator has ranked to its rank, so it
-    lives and dies with the instance (a `dataclasses.replace` copy starts
-    with an empty one).
+    The generators are the edge vectors e_i + e_j of the edges (i, j);
+    every edge has 0 <= i < x_len <= j < x_len + y_len, which is checked
+    on construction. Certified by verify_h_representation and the tests,
+    not re-checked on construction: every generator g satisfies
+    dot(g, nu) == 0 and dot(g, a) >= 0 for every a in normals. The cached
+    properties are derived from the fields once per instance; `rank_memo`
+    maps each active matrix that is_extreme_generator has ranked to its
+    rank, so it lives and dies with the instance (a `dataclasses.replace`
+    copy starts with an empty one).
     """
 
-    gens: tuple[ExpVec, ...]
+    edges: tuple[tuple[int, int], ...]
     normals: tuple[ExpVec, ...]
     nu: ExpVec
     x_len: int
     y_len: int
 
+    def __post_init__(self):
+        for edge in self.edges:
+            i, j = edge
+            if not 0 <= i < self.x_len <= j < self.ambient_dim:
+                raise ValueError(f"edge {edge} is not an x-y edge (i, j) with "
+                                 f"0 <= i < {self.x_len} <= j < {self.ambient_dim}")
+
     @property
     def ambient_dim(self) -> int:
         return self.x_len + self.y_len
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The support (i, j) of each generator e_i + e_j, i < x_len <= j."""
-        out = []
-        for g in self.gens:
-            if g.count(1) != 2 or g.count(0) != len(g) - 2:
-                raise ValueError(f"generator {g} is not an x-y edge vector e_i + e_j")
-            i = g.index(1)
-            j = g.index(1, i + 1)
-            if not i < self.x_len <= j:
-                raise ValueError(f"generator {g} is not an x-y edge vector e_i + e_j")
-            out.append((i, j))
-        return tuple(out)
 
     @cached_property
     def unit_coords(self) -> dict[ExpVec, int | None]:
@@ -168,11 +165,6 @@ class ConeRep:
         return frozenset(range(size)).difference(cut)
 
     @cached_property
-    def gen_index(self) -> dict[ExpVec, int]:
-        """The position of each generator in gens."""
-        return {g: k for k, g in enumerate(self.gens)}
-
-    @cached_property
     def uncovered(self) -> tuple[int, ...]:
         """The coordinates k whose unit normal e_k is not listed."""
         units = set(self.unit_coords.values())
@@ -191,21 +183,23 @@ class ConeRep:
 def stair_cone(spec: StairSpec, max_volume: int | None = None) -> ConeRep:
     """The exponent cone of the staircase of spec with the normals of
     stair_normals, for the certificate; the search and the Hilbert data
-    build no cone. The generators e_i + e_(m+j), j = 1..top(i), come in
-    the lexicographic order of the vertices (i, j). Refused before any
+    build no cone. The generators are the edges (i, m + j), j < top(i),
+    in the lexicographic order of the vertices. Refused before any
     column is visited when its |V| generators times its p - 1 + B_p + A_p
-    normals exceed the cap. That bounds the entries of the dense
-    generator vectors (of length B_p + A_p) and the edge steps of the
-    certificate's facet checks."""
+    normals exceed the cap. That bounds the certificate's edge steps
+    (one pass over the edges per normal) and the entries of its
+    normals."""
     m, n = spec.ambient_box()
     check_volume(spec.vertex_count() * (spec.p - 1 + m + n), max_volume,
                  what="staircase cone (generators x normals)")
-    gens = []
-    for i, top in enumerate(spec.column_tops()):
-        x_part = (0,) * i + (1,) + (0,) * (m - 1 - i)
-        gens.extend(x_part + (0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(top))
+    edges = [(i, m + j) for i, top in enumerate(spec.column_tops()) for j in range(top)]
     normals, nu = stair_normals(spec)
-    return ConeRep(tuple(gens), tuple(normals), nu, m, n)
+    return ConeRep(tuple(edges), tuple(normals), nu, m, n)
+
+
+def edge_vector(c: ConeRep, edge: tuple[int, int]) -> ExpVec:
+    """The dense generator e_i + e_j of the edge (i, j) of c."""
+    return tuple(int(k in edge) for k in range(c.ambient_dim))
 
 
 def _check_dim(c: ConeRep, z: ExpVec):
@@ -255,17 +249,17 @@ def _edge_rank(edges, size: int) -> int:
     return rank
 
 
-def is_extreme_generator(c: ConeRep, g: ExpVec) -> bool:
-    """Does the active-at-g subsystem cut out exactly the ray of g?
+def is_extreme_generator(c: ConeRep, k: int) -> bool:
+    """Does the subsystem active at generator k, the edge c.edges[k],
+    cut out exactly its ray?
 
-    True iff the normals vanishing on g, together with nu, have rank
-    ambient_dim - 1.
+    True iff the normals vanishing on the generator, together with nu,
+    have rank ambient_dim - 1.
     """
-    index = c.gen_index.get(g)
-    if index is None:
-        raise ValueError(f"{g} is not a generator of this cone")
-    i, j = c.edges[index]
-    # A unit normal e_k is inactive at g for k in {i, j}; otherwise it is
+    if not 0 <= k < len(c.edges):
+        raise ValueError(f"{k} is not the index of a generator of this cone")
+    i, j = c.edges[k]
+    # A unit normal e_l is inactive here for l in {i, j}; otherwise it is
     # active and the only pivot its column needs. Leave out its row and
     # column, and rank what the other normals leave on the other columns.
     free = sorted({i, j}.union(c.uncovered)) if c.uncovered else (i, j)
@@ -351,14 +345,15 @@ def certify(c: ConeRep) -> dict:
     report: dict = {
         "ambient_dim": c.ambient_dim,
         "expected_dim": c.ambient_dim - 1,
-        "generator_count": len(c.gens),
+        "generator_count": len(c.edges),
         "normal_count": len(c.normals),
     }
     # a normal without a negative entry holds on every edge vector
     negative = [a for a in c.normals if min(a) < 0]
-    containment_fail = [list(g) for g, (i, j) in zip(c.gens, c.edges)
+    containment_fail = [list(edge_vector(c, (i, j))) for i, j in c.edges
                         if c.nu[i] + c.nu[j] != 0 or any(a[i] + a[j] < 0 for a in negative)]
-    extreme_fail = [list(g) for g in c.gens if not is_extreme_generator(c, g)]
+    extreme_fail = [list(edge_vector(c, e)) for k, e in enumerate(c.edges)
+                    if not is_extreme_generator(c, k)]
     facet_fail = [list(a) for a in c.normals if not facet_check(c, a)]
     gen_rank = _edge_rank(c.edges, c.ambient_dim)
     complete_fail = _completeness_failures(c)

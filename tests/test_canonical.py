@@ -21,7 +21,7 @@ from fusscat.canonical import (
     top_turn_count,
 )
 from fusscat.caps import SearchCapExceeded
-from fusscat.cone import contains, in_relint, stair_cone
+from fusscat.cone import contains, edge_vector, in_relint, stair_cone
 from fusscat.exactmat import binomial
 from fusscat.polyomino import StairSpec, krull_dim, parse_stair_spec, stair, vertex_set
 from fusscat.selftest import load_generator_golden
@@ -227,11 +227,12 @@ class TestMinimalSearch:
     @given(stair_specs(max_p=3, max_entry=2), st.integers(0, 2))
     def test_matches_dense_definition(self, spec, extra):
         c = stair_cone(spec)
+        gens = [edge_vector(c, e) for e in c.edges]
         dmax = max(c.x_len, c.y_len) + extra
         expected = sorted(
             z for d in range(dmax + 1) for z in degree_points(c, d, 1)
             if in_relint(c, z)
-            and all(not in_relint(c, tuple(a - b for a, b in zip(z, g))) for g in c.gens)
+            and all(not in_relint(c, tuple(a - b for a, b in zip(z, g))) for g in gens)
         )
         assert minimal_generators_search(spec, dmax) == expected
 

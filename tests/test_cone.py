@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -11,6 +13,7 @@ from fusscat.cone import (
     certify,
     contains,
     dot,
+    edge_vector,
     facet_check,
     in_relint,
     is_extreme_generator,
@@ -39,11 +42,15 @@ def bipartite_edges(draw):
 
 
 def edge_cone(size, edges):
-    """A cone whose generators are the edge vectors of (size, edges), as
+    """A cone whose generators are the edges of (size, edges), as
     bipartite_edges draws them; it lists no normals."""
     x_len = 1 + max((i for i, _ in edges), default=0)
-    gens = tuple(tuple(int(k in e) for k in range(size)) for e in edges)
-    return cone.ConeRep(gens, (), (0,) * size, x_len, size - x_len)
+    return cone.ConeRep(tuple(edges), (), (0,) * size, x_len, size - x_len)
+
+
+def dense_gens(c):
+    """The generators of c as dense vectors, in the order of c.edges."""
+    return [edge_vector(c, e) for e in c.edges]
 
 
 def union_find_facet(c, a):
@@ -63,7 +70,7 @@ def vec_sum(vectors):
 
 class TestGenerators:
     def test_single_cell(self):
-        gens = stair_cone(SINGLE).gens
+        gens = dense_gens(stair_cone(SINGLE))
         assert len(gens) == 4
         assert set(gens) == {
             (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1),
@@ -80,11 +87,11 @@ class TestGenerators:
                 vec[i - 1] = 1
                 vec[4 + j - 1] = 1
                 expected.add(tuple(vec))
-        assert set(c.gens) == expected
+        assert set(dense_gens(c)) == expected
         assert len(expected) == 31
 
     def test_second_reference_contains_corner(self):
-        gens = set(stair_cone(P2).gens)
+        gens = set(dense_gens(stair_cone(P2)))
         assert len(gens) == 52
         corner = [0] * 17
         corner[7 - 1] = 1  # x_7
@@ -95,15 +102,28 @@ class TestGenerators:
     @given(stair_specs(max_p=4, max_entry=4))
     def test_generators_are_the_vertices_in_order(self, spec):
         # the cell-by-cell staircase is the oracle: its sorted vertices
-        # (i, j) map to e_i + e_(m+j), its columns end at their tops
+        # (i, j) map to the edges (i - 1, m + j - 1), i.e. the vectors
+        # e_i + e_(m+j), and its columns end at their tops
         verts = vertex_set(stair(spec))
         m, n = max(i for i, _ in verts), max(j for _, j in verts)
         assert spec.ambient_box() == (m, n)
         assert list(spec.column_tops()) == [max(j for i, j in verts if i == x)
                                             for x in range(1, m + 1)]
-        expected = [tuple(int(k in (i - 1, m + j - 1)) for k in range(m + n))
-                    for i, j in verts]
-        assert list(stair_cone(spec).gens) == expected
+        c = stair_cone(spec)
+        assert list(c.edges) == [(i - 1, m + j - 1) for i, j in verts]
+        assert dense_gens(c) == [tuple(int(k in (i - 1, m + j - 1)) for k in range(m + n))
+                                 for i, j in verts]
+
+    def test_building_the_cone_allocates_no_dense_vectors(self):
+        # 24,661 generators of length 362: about 70 MiB as dense tuples
+        tracemalloc.start()
+        try:
+            c = stair_cone(StairSpec((90, 90), (90, 90)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c.edges) == StairSpec((90, 90), (90, 90)).vertex_count()
+        assert peak < 8 * 2**20
 
 
 class TestNormals:
@@ -129,28 +149,28 @@ class TestNormals:
     @given(stair_specs())
     def test_generators_sit_on_the_grading_hyperplane(self, spec):
         c = stair_cone(spec)
-        assert all(dot(g, c.nu) == 0 for g in c.gens)
+        assert all(dot(g, c.nu) == 0 for g in dense_gens(c))
 
 
 class TestMembership:
     def test_generators_inside(self):
         c = stair_cone(P1)
-        assert all(contains(c, g) for g in c.gens)
+        assert all(contains(c, g) for g in dense_gens(c))
 
     def test_negated_generator_outside(self):
         c = stair_cone(P1)
-        g = c.gens[0]
+        g = edge_vector(c, c.edges[0])
         assert not contains(c, tuple(-x for x in g))
 
     def test_sum_of_generators_inside_and_interior(self):
         c = stair_cone(P1)
-        z = vec_sum(list(c.gens))
+        z = vec_sum(dense_gens(c))
         assert contains(c, z)
         assert in_relint(c, z)
 
     def test_single_generator_not_interior(self):
         c = stair_cone(P1)
-        assert not in_relint(c, c.gens[0])
+        assert not in_relint(c, edge_vector(c, c.edges[0]))
 
     def test_first_canonical_generator_is_interior(self):
         c = stair_cone(P1)
@@ -167,30 +187,34 @@ class TestMembership:
 
     def test_pointedness_on_generators(self):
         c = stair_cone(P2)
-        for g in c.gens:
+        for g in dense_gens(c):
             assert not contains(c, tuple(-x for x in g))
 
 
 class TestExtremeRays:
     def test_single_cell_all_extreme(self):
         c = stair_cone(SINGLE)
-        assert all(is_extreme_generator(c, g) for g in c.gens)
+        assert all(is_extreme_generator(c, k) for k in range(len(c.edges)))
 
     def test_first_reference_all_extreme(self):
         c = stair_cone(P1)
-        assert all(is_extreme_generator(c, g) for g in c.gens)
+        assert all(is_extreme_generator(c, k) for k in range(len(c.edges)))
 
     def test_specific_generator(self):
         c = stair_cone(P1)
         g = [0] * 14
         g[0] = 1
         g[4] = 1  # the vertex (1, 1)
-        assert is_extreme_generator(c, tuple(g))
+        k = c.edges.index((0, 4))
+        assert edge_vector(c, c.edges[k]) == tuple(g)
+        assert is_extreme_generator(c, k)
 
     def test_rejects_nongenerator(self):
+        # a negative index would name another generator, so it is refused
         c = stair_cone(SINGLE)
-        with pytest.raises(ValueError, match="not a generator"):
-            is_extreme_generator(c, (2, 0, 1, 1))
+        for k in (len(c.edges), -1):
+            with pytest.raises(ValueError, match="not the index of a generator"):
+                is_extreme_generator(c, k)
 
     def test_one_rank_call_per_distinct_active_matrix(self, monkeypatch):
         calls = []
@@ -203,17 +227,18 @@ class TestExtremeRays:
         c = stair_cone(P2)
         d = c.ambient_dim
         distinct = set()
-        for g, (i, j) in zip(c.gens, c.edges):
+        for k, (i, j) in enumerate(c.edges):
+            g = edge_vector(c, (i, j))
             active = [a for a in c.normals if dot(g, a) == 0] + [c.nu]
-            assert is_extreme_generator(c, g) == (rank_fractions(active, d) == d - 1)
+            assert is_extreme_generator(c, k) == (rank_fractions(active, d) == d - 1)
             # every unit normal is listed, so the active unit normals cover
             # all columns but i and j: the rest is the active rows there
             distinct.add(tuple((a[i], a[j]) for a in active if a[i] or a[j]))
-        assert 1 <= len(calls) <= len(distinct) < len(c.gens)
+        assert 1 <= len(calls) <= len(distinct) < len(c.edges)
         # the memo belongs to the instance: a copy ranks again
         copy = replace(c, normals=c.normals)
         assert copy.rank_memo == {}
-        assert all(is_extreme_generator(copy, g) for g in copy.gens)
+        assert all(is_extreme_generator(copy, k) for k in range(len(copy.edges)))
         assert len(calls) == 2 * len(c.rank_memo)
 
 
@@ -249,24 +274,22 @@ class TestFacets:
             for k in range(len(c.normals))
         ]
         for v in variants:
-            for g in v.gens:
+            for k, g in enumerate(dense_gens(v)):
                 active = [a for a in v.normals if dot(g, a) == 0] + [v.nu]
                 expected = rank_fractions(active, d) == d - 1
-                assert is_extreme_generator(v, g) == expected
+                assert is_extreme_generator(v, k) == expected
             for a in v.normals:
-                on_face = [g for g in v.gens if dot(g, a) == 0]
+                on_face = [g for g in dense_gens(v) if dot(g, a) == 0]
                 expected = rank_fractions(on_face, d) == d - 2
                 assert facet_check(v, a) == expected
         assert not facet_check(variants[1], non_facet)
 
-    @pytest.mark.parametrize("bad", [(1, 1, 0, 0), (0, 0, 1, 1), (2, 0, 1, 1), (1, 0, 2, 0)])
+    @pytest.mark.parametrize("bad", [(0, 1), (2, 3), (0, 4), (-1, 2)])
     def test_non_edge_generator_is_rejected(self, bad):
+        # SINGLE has x-coordinates 0, 1 and y-coordinates 2, 3
         c = stair_cone(SINGLE)
-        c = replace(c, gens=c.gens + (bad,))
-        with pytest.raises(ValueError, match="edge vector"):
-            facet_check(c, c.normals[0])
-        with pytest.raises(ValueError, match="edge vector"):
-            is_extreme_generator(c, c.gens[0])
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad} is not an x-y edge")):
+            replace(c, edges=c.edges + (bad,))
 
 
 class TestEdgeRank:
@@ -309,8 +332,8 @@ class TestUnitFacets:
             for u, r in product(product((1, 2), repeat=p), repeat=2):
                 c = stair_cone(StairSpec(u, r))
                 assert c.unit_facets == frozenset(range(c.ambient_dim))
-                mutants += [replace(c, gens=c.gens[:k] + c.gens[k + 1:])
-                            for k in range(len(c.gens))]
+                mutants += [replace(c, edges=c.edges[:k] + c.edges[k + 1:])
+                            for k in range(len(c.edges))]
         reports = [certify(m) for m in mutants]
         monkeypatch.setattr(cone, "facet_check", union_find_facet)
         assert reports == [certify(m) for m in mutants]
@@ -358,7 +381,7 @@ class TestCap:
 
     def test_estimate_is_generators_times_normals(self):
         c = stair_cone(self.SPEC)
-        volume = len(c.gens) * len(c.normals)
+        volume = len(c.edges) * len(c.normals)
         assert stair_cone(self.SPEC, max_volume=volume) == c
         with pytest.raises(SearchCapExceeded) as refused:
             stair_cone(self.SPEC, max_volume=volume - 1)
@@ -396,9 +419,17 @@ class TestVerifyReport:
         # +1 on y_1..y_7)
         c = stair_cone(P1)
         outside = tuple(int(k in (1, 13)) for k in range(14))
-        report = certify(replace(c, gens=c.gens + (outside,)))
+        report = certify(replace(c, edges=c.edges + ((1, 13),)))
         assert report["checks"]["containment"] == {"passed": False, "failures": [list(outside)]}
         assert not report["checks"]["complete"]["passed"]
+
+    def test_non_extreme_generators_are_reported_as_vectors(self):
+        # without e_1, x_1 is free at the generators x_2 y_j: they are not
+        # extreme rays, and the report names them as dense vectors
+        c = stair_cone(SINGLE)
+        report = certify(replace(c, normals=c.normals[1:]))
+        assert report["checks"]["extreme_generators"] == {
+            "passed": False, "failures": [[0, 1, 1, 0], [0, 1, 0, 1]]}
 
     def test_report_is_json_serializable(self):
         import json

@@ -116,11 +116,11 @@ class TestRank:
         assert rank_exact(Matrix.from_rows(rows)) == 5
 
     def test_generator_matrix_of_first_reference_staircase(self):
-        from fusscat.cone import stair_cone
+        from fusscat.cone import edge_vector, stair_cone
         from fusscat.polyomino import StairSpec
 
         cone = stair_cone(StairSpec((3, 3, 3), (1, 1, 1)))
-        m = Matrix.from_rows(cone.gens)
+        m = Matrix.from_rows([edge_vector(cone, e) for e in cone.edges])
         assert (m.rows, m.cols) == (31, 14)
         assert rank_exact(m) == 13
 
