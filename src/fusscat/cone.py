@@ -18,12 +18,16 @@ edges that miss k, so it has rank ambient_dim - 2, i.e. is a facet,
 iff G - k is connected (on its ambient_dim - 1 >= 2 vertices). One
 iterative lowpoint pass over G finds its cut vertices, and so decides
 every unit normal at once. The p - 1 step normals and the dimension
-check count their ranks by union-find. Extremality runs an exact
-elimination on the columns that no unit normal covers, once per
-distinct active matrix of a cone: the ranks are memoised on the ConeRep
-instance. Completeness compares each x-coordinate's neighbours with the
-y-prefix that the normals allow. A cone with |E| edges and p - 1 step
-normals costs O(|E|·p) edge steps plus the extremality ranks.
+check count their ranks by union-find. Containment and extremality see
+an edge (i, j) only through the entries of nu and of the step normals at
+i and j and through whether unit normals cover them, so the certificate
+decides both once per pair of such coordinate classes that the edges
+meet (at most p(p + 1)/2 pairs on a staircase cone), not once per edge.
+Extremality runs an exact elimination on the columns that no unit normal
+covers, memoised per active matrix on the ConeRep instance.
+Completeness compares each x-coordinate's neighbours with the y-prefix
+that the normals allow. A cone with |E| edges and p - 1 step normals
+costs O(|E|·p) edge steps plus one extremality rank per class pair.
 """
 
 from __future__ import annotations
@@ -340,7 +344,10 @@ def certify(c: ConeRep) -> dict:
     is facet-defining; the generators span a space of dimension
     ambient_dim - 1; and the normals allow no edge vector beyond the
     generators, which makes the description complete. Failures are
-    reported with witnesses, never raised.
+    reported with witnesses, in edge order, never raised. Containment
+    and extremality are decided once per pair of coordinate classes
+    (equal entries in nu and in every non-unit normal, equal unit-normal
+    cover), at the first edge (i, j) whose ends fall in that pair.
     """
     report: dict = {
         "ambient_dim": c.ambient_dim,
@@ -350,10 +357,24 @@ def certify(c: ConeRep) -> dict:
     }
     # a normal without a negative entry holds on every edge vector
     negative = [a for a in c.normals if min(a) < 0]
-    containment_fail = [list(edge_vector(c, (i, j))) for i, j in c.edges
-                        if c.nu[i] + c.nu[j] != 0 or any(a[i] + a[j] < 0 for a in negative)]
-    extreme_fail = [list(edge_vector(c, e)) for k, e in enumerate(c.edges)
-                    if not is_extreme_generator(c, k)]
+    # all that containment and extremality read of an edge's two ends
+    uncovered = set(c.uncovered)
+    classes: dict = {}
+    coord_class = [classes.setdefault((column, k in uncovered), len(classes))
+                   for k, column in enumerate(zip(c.nu, *c.other_normals))]
+    decided: dict[tuple[int, int], tuple[bool, bool]] = {}
+    containment_fail, extreme_fail = [], []
+    for k, edge in enumerate(c.edges):
+        i, j = edge
+        pair = coord_class[i], coord_class[j]
+        verdict = decided.get(pair)
+        if verdict is None:
+            inside = c.nu[i] + c.nu[j] == 0 and all(a[i] + a[j] >= 0 for a in negative)
+            verdict = decided[pair] = inside, is_extreme_generator(c, k)
+        if not verdict[0]:
+            containment_fail.append(list(edge_vector(c, edge)))
+        if not verdict[1]:
+            extreme_fail.append(list(edge_vector(c, edge)))
     facet_fail = [list(a) for a in c.normals if not facet_check(c, a)]
     gen_rank = _edge_rank(c.edges, c.ambient_dim)
     complete_fail = _completeness_failures(c)

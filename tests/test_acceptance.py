@@ -22,7 +22,7 @@ CRITERIA = {
     4: ("specializations", 10.0, {}),
     5: ("generator_lists_match_transcription", 1.0, {}),
     6: ("krull_dimensions", 1.0, {}),
-    7: ("cone_certificates", 20.0, {}),
+    7: ("cone_certificates", 10.0, {}),
     # a second seed, so the suite samples other bounds than the selftest
     8: ("path_counter_agreement", 30.0, {"seed": 987654321}),
     9: ("minimal_generator_search", 300.0, {}),

@@ -431,6 +431,44 @@ class TestVerifyReport:
         assert report["checks"]["extreme_generators"] == {
             "passed": False, "failures": [[0, 1, 1, 0], [0, 1, 0, 1]]}
 
+    def test_edge_failures_match_the_per_edge_oracle(self):
+        # certify decides containment and extremality once per pair of
+        # coordinate classes; the oracle decides every edge on its own.
+        # The mutants split a class: nu changed at the last x-coordinate
+        # of a block, or a normal added that is -1 on one x-coordinate
+        # and +1 on y_1, or a unit normal dropped.
+        cones, counts = [], []
+        for p in range(1, 4):
+            for u, r in product(product((1, 2), repeat=p), repeat=2):
+                spec = StairSpec(u, r)
+                c = stair_cone(spec)
+                m = c.x_len
+                y_1 = (1,) + (0,) * (c.y_len - 1)
+                mutants = [
+                    [replace(c, edges=c.edges[:k] + c.edges[k + 1:]) for k in range(len(c.edges))],
+                    [replace(c, normals=c.normals[:k] + c.normals[k + 1:])
+                     for k in range(len(c.normals))],
+                    [replace(c, nu=c.nu[:i] + (-1,) + c.nu[i + 1:])
+                     for i in sorted({b - 2 for b in spec.breaks()[1:]} | {m - 1})],
+                    [replace(c, normals=c.normals + (tuple(-int(k == i) for k in range(m)) + y_1,))
+                     for i in range(m)],
+                ]
+                cones.append(c)
+                for group in mutants:
+                    cones += group
+                counts.append([len(group) for group in mutants])
+        assert [sum(column) for column in zip(*counts)] == [1749, 996, 312, 426]
+        failures = {"containment": 0, "extreme_generators": 0}
+        for c in cones:
+            inside = [contains(c, edge_vector(c, e)) for e in c.edges]
+            extreme = [is_extreme_generator(c, k) for k in range(len(c.edges))]
+            checks = certify(c)["checks"]
+            for name, verdicts in (("containment", inside), ("extreme_generators", extreme)):
+                expected = [list(edge_vector(c, e)) for e, ok in zip(c.edges, verdicts) if not ok]
+                assert checks[name]["failures"] == expected, (c, name)
+                failures[name] += len(expected)
+        assert all(failures.values()), failures
+
     def test_report_is_json_serializable(self):
         import json
 
