@@ -17,13 +17,11 @@ lexicographic and deterministic so listings can be diffed.
 
 from __future__ import annotations
 
-from .caps import check_volume
+from .caps import GFC_METHODS, check_volume
 from .exactmat import binomial
 from .paths import (check_dp, count_paths_det, count_paths_dp, iter_bounded_compositions,
                     staircase_bounds)
 from .polyomino import StairSpec
-
-GFC_METHODS = ("enum", "dp", "det", "canonical")
 
 
 def validate_triple(n: int, t: int, p: int):

@@ -26,24 +26,21 @@ the staircase's blocks and its tight steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from operator import add
 
 from .brackets import iter_A, validate_triple
 from .caps import check_volume
-from .cone import ExpVec
 from .exactmat import binomial
 from .paths import iter_bounded_compositions
-from .polyomino import StairSpec
+from .polyomino import ExpVec, StairSpec
 
 
-@dataclass(frozen=True)
-class CanonicalGenerator:
+class CanonicalGenerator(namedtuple("CanonicalGenerator", "alpha y_len")):
     """Exponent data of one canonical-module generator x^alpha * y."""
 
-    alpha: tuple[int, ...]
-    y_len: int
+    __slots__ = ()
 
     def exponent_vector(self) -> ExpVec:
         return tuple(self.alpha) + (1,) * self.y_len

@@ -8,6 +8,11 @@ count), never the true output size, so refusals are conservative.
 
 DEFAULT_MAX_VOLUME = 10_000_000
 
+# The routes of brackets.gfc, in the order check_methods tries their caps.
+# They live here, with no import, so that the CLI's argument parser can
+# list them without loading the bracket's modules.
+GFC_METHODS = ("enum", "dp", "det", "canonical")
+
 
 class SearchCapExceeded(RuntimeError):
     """Raised instead of starting a search that is too large.

@@ -8,6 +8,10 @@ csv or text on request), diagnostics to stderr. Exit codes: 0 success,
 Counts and determinant values are printed as decimal strings so that
 arbitrarily large results survive any JSON consumer; small exponent
 entries stay plain numbers.
+
+Each subcommand's handler imports the library modules it runs when it
+runs, so a process loads and compiles only those: the parser needs
+nothing beyond ``caps``.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import argparse
 import json
 import sys
 
-from . import brackets, canonical, cone, paths, polyomino, selftest
-from .caps import SearchCapExceeded, check_volume
+from .caps import GFC_METHODS, SearchCapExceeded, check_volume
 
 
 class CliError(Exception):
@@ -60,7 +63,7 @@ def build_parser() -> _Parser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--t", type=int, required=True)
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--method", choices=("all",) + brackets.GFC_METHODS, default="all")
+    s.add_argument("--method", choices=("all",) + GFC_METHODS, default="all")
 
     s = sub.add_parser("paths", help="bounded monotone path counting")
     s.add_argument("--a", type=_int_list, required=True)
@@ -94,18 +97,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spec(args) -> polyomino.StairSpec:
+def _spec(args):
+    """The StairSpec of --u/--r; a bad one is a validation error."""
+    from .polyomino import StairSpec
+
     try:
-        return polyomino.StairSpec(args.u, args.r)
+        return StairSpec(args.u, args.r)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
 def _run_gfc(args) -> dict:
+    from . import brackets
+
     if args.method == "all":
         brackets.check_methods(args.n, args.t, args.p, args.max_volume)
         values = {m: brackets.gfc(args.n, args.t, args.p, m, args.max_volume)
-                  for m in brackets.GFC_METHODS}
+                  for m in GFC_METHODS}
         agree = len(set(values.values())) == 1
         return {
             "value": str(values["det"]),
@@ -117,6 +125,8 @@ def _run_gfc(args) -> dict:
 
 
 def _run_paths(args) -> dict:
+    from . import paths
+
     b = args.b if args.b is not None else (0,) * len(args.a)
     bounds = paths.HeightBounds(args.a, b)
     if args.method == "dp":
@@ -133,6 +143,8 @@ def _run_paths(args) -> dict:
 
 
 def _run_polyomino(args) -> dict:
+    from . import polyomino
+
     spec = _spec(args)
     cell_count = spec.cell_count()
     # the cells list holds two integers per cell
@@ -162,6 +174,8 @@ def _run_canonical(args) -> dict:
         if args.dmax is not None:
             raise CliError("--dmax applies to the general search (--u/--r), "
                            "not to the closed form")
+        from . import canonical
+
         gens = canonical.stair_generators(args.n, args.t, args.p, args.max_volume)
         return {
             "n": args.n, "t": args.t, "p": args.p,
@@ -172,6 +186,8 @@ def _run_canonical(args) -> dict:
         raise CliError("general search needs --u and --r")
     if args.dmax is None:
         raise CliError("general search needs --dmax")
+    from . import canonical, polyomino
+
     spec = _spec(args)
     found = canonical.minimal_generators_search(spec, args.dmax, args.max_volume)
     m = spec.ambient_box()[0]
@@ -184,10 +200,14 @@ def _run_canonical(args) -> dict:
 
 
 def _run_cone_verify(args) -> dict:
+    from . import cone
+
     return cone.verify_h_representation(_spec(args), args.max_volume)
 
 
 def _run_hilbert(args) -> dict:
+    from . import canonical, polyomino
+
     spec = _spec(args)
     values = canonical.hilbert_function(spec, args.dmax, args.max_volume)
     dim = spec.krull_dim()
@@ -200,6 +220,8 @@ def _run_hilbert(args) -> dict:
 
 
 def _run_selftest(args, out) -> int:
+    from . import selftest
+
     results = selftest.run_all()
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -228,10 +250,39 @@ def _flatten_for_csv(doc: dict, prefix="") -> list[tuple[str, str]]:
     return rows
 
 
+def json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, for a document of
+    dicts with str keys, lists, tuples and JSON scalars, at the nesting
+    depth that indent marks.
+
+    json.dumps takes its pure-Python encoder whenever indent is set, at
+    several calls per item. This joins each container's items with
+    str.join and writes a list of plain ints with one map(str); the
+    other scalars go to json.dumps.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{json.dumps(k)}: {json_text(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if all(type(v) is int for v in value):
+            items = map(str, value)
+        else:
+            items = [json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value)
+
+
 def _emit(doc: dict, fmt: str, out):
     if fmt == "json":
-        json.dump(doc, out, indent=2, sort_keys=False)
-        out.write("\n")
+        out.write(json_text(doc) + "\n")
     elif fmt == "csv":
         print("key,value", file=out)
         for key, value in _flatten_for_csv(doc):

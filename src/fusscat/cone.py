@@ -38,9 +38,7 @@ from operator import itemgetter, mul
 
 from .caps import check_volume
 from .exactmat import Matrix, rank_exact
-from .polyomino import StairSpec, format_stair_spec
-
-ExpVec = tuple[int, ...]
+from .polyomino import ExpVec, StairSpec, format_stair_spec
 
 
 def dot(u: ExpVec, v: ExpVec) -> int:

@@ -10,7 +10,7 @@ needs none, because its matrix is Hessenberg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def binomial(m: int, k: int) -> int:
@@ -41,21 +41,17 @@ def fuss_catalan(p: int, n: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(namedtuple("Matrix", "rows cols entries")):
     """Dense row-major matrix of exact integers."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":

@@ -15,7 +15,7 @@ compositions and the canonical-module generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import floordiv, gt, mul, sub
 
@@ -23,8 +23,7 @@ from .caps import check_volume
 from .exactmat import Matrix, binomial
 
 
-@dataclass(frozen=True)
-class HeightBounds:
+class HeightBounds(namedtuple("HeightBounds", "a b")):
     """Upper bounds a and lower bounds b for the horizontal-step heights.
 
     Both sequences must be weakly increasing with a_i >= b_i. Negative
@@ -32,26 +31,25 @@ class HeightBounds:
     use b = 0.
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
+    def __new__(cls, a, b):
+        a, b = tuple(a), tuple(b)
         problems = []
-        if len(self.a) != len(self.b):
-            problems.append(f"len(a)={len(self.a)} differs from len(b)={len(self.b)}")
-        if len(self.a) == 0:
+        if len(a) != len(b):
+            problems.append(f"len(a)={len(a)} differs from len(b)={len(b)}")
+        if len(a) == 0:
             problems.append("bounds must have length >= 1")
-        if any(x > y for x, y in zip(self.a, self.a[1:])):
-            problems.append(f"a is not weakly increasing: {self.a}")
-        if any(x > y for x, y in zip(self.b, self.b[1:])):
-            problems.append(f"b is not weakly increasing: {self.b}")
-        crossing = [i for i, (x, y) in enumerate(zip(self.a, self.b)) if x < y]
+        if any(x > y for x, y in zip(a, a[1:])):
+            problems.append(f"a is not weakly increasing: {a}")
+        if any(x > y for x, y in zip(b, b[1:])):
+            problems.append(f"b is not weakly increasing: {b}")
+        crossing = [i for i, (x, y) in enumerate(zip(a, b)) if x < y]
         if crossing:
             problems.append(f"a_i < b_i at positions {crossing} (0-based)")
         if problems:
             raise ValueError("invalid height bounds: " + "; ".join(problems))
+        return super().__new__(cls, a, b)
 
     @property
     def n(self) -> int:

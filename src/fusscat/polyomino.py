@@ -10,27 +10,52 @@ B_k = 1 + r_1 + ... + r_k mark the height and column breakpoints.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 Cell = tuple[int, int]
 Point = tuple[int, int]
+# an exponent vector: the x-part, then the y-part
+ExpVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Polyomino:
-    cells: frozenset[Cell]
+    """A polyomino by its cell set; immutable, compared and hashed by
+    its cells. len(P) is the number of cells."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
-        if not self.cells:
+    __slots__ = ("cells",)
+
+    def __init__(self, cells):
+        cells = frozenset(tuple(c) for c in cells)
+        if not cells:
             raise ValueError("a polyomino needs at least one cell")
-        for x, y in self.cells:
+        for x, y in cells:
             if x < 1 or y < 1:
                 raise ValueError(f"cell {x, y} outside the positive quadrant")
-        if not _connected(self.cells):
+        if not _connected(cells):
             raise ValueError("cells are not edge-connected")
+        object.__setattr__(self, "cells", cells)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.cells,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cells == other.cells
+
+    def __hash__(self):
+        return hash((self.cells,))
+
+    def __repr__(self):
+        return f"Polyomino(cells={self.cells!r})"
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -52,20 +77,18 @@ def _connected(cells) -> bool:
     return len(seen) == len(cells)
 
 
-@dataclass(frozen=True)
-class StairSpec:
+class StairSpec(namedtuple("StairSpec", "u r")):
     """Parameters (u, r) of a staircase polyomino."""
 
-    u: tuple[int, ...]
-    r: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "r", tuple(self.r))
-        if len(self.u) != len(self.r) or not self.u:
+    def __new__(cls, u, r):
+        u, r = tuple(u), tuple(r)
+        if len(u) != len(r) or not u:
             raise ValueError("u and r must be nonempty lists of equal length")
-        if any(x < 1 for x in self.u) or any(x < 1 for x in self.r):
+        if any(x < 1 for x in u) or any(x < 1 for x in r):
             raise ValueError("all entries of u and r must be >= 1")
+        return super().__new__(cls, u, r)
 
     @property
     def p(self) -> int:
@@ -189,15 +212,11 @@ def is_convex(P: Polyomino) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InnerInterval:
+class InnerInterval(namedtuple("InnerInterval", "a b c d")):
     """A rectangle [a, b] fully inside the polyomino, with its
     anti-diagonal corners c and d."""
 
-    a: Point
-    b: Point
-    c: Point
-    d: Point
+    __slots__ = ()
 
 
 def inner_intervals(P: Polyomino) -> list[InnerInterval]:

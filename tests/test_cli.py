@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import fusscat
 from conftest import forbid_stair_builds
 from fusscat import brackets, canonical
-from fusscat.cli import main
+from fusscat.cli import json_text, main
 
 
 def run_cli(capsys, *argv):
@@ -290,3 +298,88 @@ class TestOutputDiscipline:
                                "--u", "2,1", "--r", "1,2")
         assert code == 0
         assert out
+
+
+# Runs main(argv) in a fresh interpreter and prints, one a line, the
+# modules that the import of fusscat.cli and the run loaded.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from fusscat.cli import main
+code = main(sys.argv[1:])
+print("exit", code)
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def loaded_modules(*argv) -> tuple[int, set[str]]:
+    src = str(Path(fusscat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # main's own output comes first, then the exit line and the modules
+    tail = ("\n" + proc.stdout).rpartition("\nexit ")[2]
+    code, *modules = tail.splitlines()
+    return int(code), set(modules)
+
+
+class TestImportContract:
+    """A subcommand loads only the modules it runs: no dataclasses (and
+    so no inspect) outside cone-verify and selftest, no cone where no
+    cone is built, and nothing of the library before validation."""
+
+    @pytest.mark.parametrize("argv", [
+        ("polyomino", "--u", "3,3,3", "--r", "1,1,1", "--render"),
+        ("paths", "--a", "0,5", "--b", "0,3", "--method", "enumerate"),
+        ("gfc", "--n", "3", "--t", "1", "--p", "3", "--method", "all"),
+        ("canonical", "--n", "3", "--t", "1", "--p", "3"),
+        ("canonical", "--u", "2,1", "--r", "1,2", "--dmax", "8"),
+        ("hilbert", "--u", "3,3,3", "--r", "1,1,1", "--dmax", "3"),
+    ], ids=["polyomino", "paths", "gfc", "canonical-closed", "canonical-search", "hilbert"])
+    def test_no_dataclasses_cone_or_selftest(self, argv):
+        code, modules = loaded_modules(*argv)
+        assert code == 0
+        assert not modules & {"dataclasses", "fusscat.cone", "fusscat.selftest"}
+
+    def test_cone_verify_loads_no_canonical(self):
+        code, modules = loaded_modules("cone-verify", "--u", "3,3,3", "--r", "2,2,2")
+        assert code == 0
+        assert "fusscat.cone" in modules
+        assert not modules & {"fusscat.canonical", "fusscat.selftest"}
+
+    def test_validation_error_loads_no_library_module(self):
+        code, modules = loaded_modules("canonical", "--n", "3", "--t", "1")
+        assert code == 1
+        assert {m for m in modules if m.startswith("fusscat")} == {
+            "fusscat", "fusscat.caps", "fusscat.cli"}
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.text()
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+class TestJsonEmitter:
+    @settings(deadline=None)
+    @given(json_documents)
+    def test_matches_json_dumps(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_tuples_are_lists(self):
+        doc = {"a": (1, (2, "x")), "b": ()}
+        assert json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_polyomino_render_sweep(self, capsys):
+        # every spec with p <= 3 and entries <= 3: 9 + 81 + 729 = 819
+        count = 0
+        for p in (1, 2, 3):
+            for u, r in product(product((1, 2, 3), repeat=p), repeat=2):
+                out = run_cli(capsys, "polyomino", "--u", ",".join(map(str, u)),
+                              "--r", ",".join(map(str, r)), "--render")[1]
+                assert out == json.dumps(json.loads(out), indent=2) + "\n"
+                count += 1
+        assert count == 819
