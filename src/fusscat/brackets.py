@@ -20,16 +20,8 @@ from __future__ import annotations
 from .caps import GFC_METHODS, check_volume
 from .exactmat import binomial
 from .paths import (check_dp, count_paths_det, count_paths_dp, iter_bounded_compositions,
-                    staircase_bounds)
+                    staircase_bounds, validate_triple)
 from .polyomino import StairSpec
-
-
-def validate_triple(n: int, t: int, p: int):
-    """Raise ValueError unless 1 <= t < n and p >= 1."""
-    if not 1 <= t < n:
-        raise ValueError(f"require 1 <= t < n, got t={t}, n={n}")
-    if p < 1:
-        raise ValueError(f"require p >= 1, got p={p}")
 
 
 def enum_volume(n: int, t: int, p: int) -> int:

@@ -149,18 +149,19 @@ def _run_polyomino(args) -> dict:
     cell_count = spec.cell_count()
     # the cells list holds two integers per cell
     check_volume(2 * cell_count, args.max_volume, what="polyomino cell list")
-    P = polyomino.stair(spec)
     out = {
         "spec": polyomino.format_stair_spec(spec),
         "cell_count": cell_count,
-        "cells": [list(c) for c in P.sorted_cells()],
+        "cells": [list(c) for c in spec.cells()],
         "vertex_count": spec.vertex_count(),
         "krull_dim": spec.krull_dim(),
-        "convex": polyomino.is_convex(P),
+        # column x is the run 1 .. top(x) - 1 and the tops never fall, so
+        # each row is a run ending at column B_p - 1: always convex
+        "convex": True,
         "inner_interval_count": spec.inner_interval_count(),
     }
     if args.render:
-        out["render"] = polyomino.render_ascii(P)
+        out["render"] = polyomino.render_ascii(polyomino.stair(spec))
     return out
 
 

@@ -56,16 +56,21 @@ class HeightBounds(namedtuple("HeightBounds", "a b")):
         return len(self.a)
 
 
+def validate_triple(n: int, t: int, p: int):
+    """Raise ValueError unless 1 <= t < n and p >= 1."""
+    if not 1 <= t < n:
+        raise ValueError(f"require 1 <= t < n, got t={t}, n={n}")
+    if p < 1:
+        raise ValueError(f"require p >= 1, got p={p}")
+
+
 def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:
     """Bounds for the staircase family: a_i = ceil(i/t)*(n-t), b_i = 0.
 
     Length is p*t. Calling with t -> n-t yields the reflected bounds
     a'_i = ceil(i/(n-t))*t of length p*(n-t).
     """
-    if not 1 <= t < n:
-        raise ValueError(f"require 1 <= t < n, got t={t}, n={n}")
-    if p < 1:
-        raise ValueError(f"require p >= 1, got p={p}")
+    validate_triple(n, t, p)
     a = tuple(-(-i // t) * (n - t) for i in range(1, p * t + 1))
     return HeightBounds(a, (0,) * (p * t))
 

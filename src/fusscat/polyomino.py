@@ -20,48 +20,30 @@ Point = tuple[int, int]
 ExpVec = tuple[int, ...]
 
 
-class Polyomino:
-    """A polyomino by its cell set; immutable, compared and hashed by
-    its cells. len(P) is the number of cells."""
+class Polyomino(frozenset):
+    """A polyomino as the frozenset of its cells: it equals and hashes as
+    that frozenset, and len(P) is the number of cells."""
 
-    __slots__ = ("cells",)
+    __slots__ = ()
 
-    def __init__(self, cells):
-        cells = frozenset(tuple(c) for c in cells)
-        if not cells:
+    def __new__(cls, cells):
+        self = super().__new__(cls, map(tuple, cells))
+        if not self:
             raise ValueError("a polyomino needs at least one cell")
-        for x, y in cells:
+        for x, y in self:
             if x < 1 or y < 1:
                 raise ValueError(f"cell {x, y} outside the positive quadrant")
-        if not _connected(cells):
+        if not _connected(self):
             raise ValueError("cells are not edge-connected")
-        object.__setattr__(self, "cells", cells)
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, (self.cells,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cells == other.cells
-
-    def __hash__(self):
-        return hash((self.cells,))
+    @property
+    def cells(self) -> frozenset[Cell]:
+        """The cell set, which is P itself."""
+        return self
 
     def __repr__(self):
-        return f"Polyomino(cells={self.cells!r})"
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.cells)
+        return f"Polyomino(cells={frozenset(self)!r})"
 
 
 def _connected(cells) -> bool:
@@ -115,6 +97,13 @@ class StairSpec(namedtuple("StairSpec", "u r")):
         for A, r in zip(heights, self.r):
             yield from repeat(A, r)
         yield heights[-1]
+
+    def cells(self) -> Iterator[Cell]:
+        """The cells of the staircase in sorted (x, y) order, lazily:
+        column x = 1 .. B_p - 1 holds (x, 1) .. (x, top(x) - 1)."""
+        for x, top in zip(range(1, self.ambient_box()[0]), self.column_tops()):
+            for y in range(1, top):
+                yield x, y
 
     def step_checkpoints(self) -> tuple[tuple[int, int], ...]:
         """(B_s - 1, A_s) per inner step s = 1..p-1: the x- and y-prefix
@@ -173,19 +162,8 @@ def parse_stair_spec(text: str) -> StairSpec:
 
 
 def stair(spec: StairSpec) -> Polyomino:
-    """The staircase polyomino of a spec.
-
-    Cell rule: step t occupies columns B_{t-1} .. B_t - 1, each of height
-    A_t - 1.
-    """
-    heights = spec.heights()
-    breaks = spec.breaks()
-    cells = set()
-    for t in range(spec.p):
-        for x in range(breaks[t], breaks[t + 1]):
-            for y in range(1, heights[t]):
-                cells.add((x, y))
-    return Polyomino(cells)
+    """The staircase polyomino of a spec, built from spec.cells()."""
+    return Polyomino(spec.cells())
 
 
 def vertex_set(P: Polyomino) -> list[Point]:

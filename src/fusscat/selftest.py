@@ -64,24 +64,14 @@ def load_generator_golden(n: int, t: int, p: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_example_t1():
-    """Criterion 1: the bracket at (3,1,3) is 55 by all four methods and
-    the determinant route uses the reference 3x3 matrix."""
-    values = {m: brackets.gfc(3, 1, 3, m) for m in brackets.GFC_METHODS}
-    matrix = paths.path_count_matrix(paths.staircase_bounds(3, 1, 3))
-    rows = tuple(matrix.row(i) for i in range(matrix.rows))
-    ok = all(v == 55 for v in values.values()) and rows == EXAMPLE_MATRIX_T1
-    return ok, f"values={values}, matrix_match={rows == EXAMPLE_MATRIX_T1}"
-
-
-def check_example_t2():
-    """Criterion 2: the bracket at (3,2,3) is 55 with the reference 6x6
-    matrix."""
-    values = {m: brackets.gfc(3, 2, 3, m) for m in brackets.GFC_METHODS}
-    matrix = paths.path_count_matrix(paths.staircase_bounds(3, 2, 3))
-    rows = tuple(matrix.row(i) for i in range(matrix.rows))
-    ok = all(v == 55 for v in values.values()) and rows == EXAMPLE_MATRIX_T2
-    return ok, f"values={values}, matrix_match={rows == EXAMPLE_MATRIX_T2}"
+def check_example(t, matrix):
+    """Criteria 1 and 2: the bracket at (3, t, 3) is 55 by all four
+    methods and the determinant route uses the reference matrix."""
+    values = {m: brackets.gfc(3, t, 3, m) for m in brackets.GFC_METHODS}
+    path_matrix = paths.path_count_matrix(paths.staircase_bounds(3, t, 3))
+    rows = tuple(path_matrix.row(i) for i in range(path_matrix.rows))
+    ok = all(v == 55 for v in values.values()) and rows == matrix
+    return ok, f"values={values}, matrix_match={rows == matrix}"
 
 
 def check_symmetry_and_methods(n_max=6, p_max=4):
@@ -238,8 +228,9 @@ def check_inner_minor_identity(p_max=3, entry_max=3):
 
 
 CHECKS = (
-    (1, "bracket (3,1,3) by four methods with the exact 3x3 matrix", check_example_t1),
-    (2, "bracket (3,2,3) with the exact 6x6 matrix", check_example_t2),
+    (1, "bracket (3,1,3) by four methods with the exact 3x3 matrix",
+     lambda: check_example(1, EXAMPLE_MATRIX_T1)),
+    (2, "bracket (3,2,3) with the exact 6x6 matrix", lambda: check_example(2, EXAMPLE_MATRIX_T2)),
     (3, "symmetry and cross-method agreement, n<=6, p<=4", check_symmetry_and_methods),
     (4, "Fuss-Catalan and binomial specializations", check_specializations),
     (5, "closed-form generators match the transcribed lists", check_generator_goldens),

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 
 import fusscat
-from conftest import forbid_stair_builds
+from conftest import forbid_calls, forbid_stair_builds
 from fusscat import brackets, canonical
 from fusscat.cli import json_text, main
+from fusscat.polyomino import Polyomino, StairSpec, is_convex, render_ascii, stair
 
 
 def run_cli(capsys, *argv):
@@ -373,13 +374,24 @@ class TestJsonEmitter:
         doc = {"a": (1, (2, "x")), "b": ()}
         assert json_text(doc) == json.dumps(doc, indent=2)
 
-    def test_polyomino_render_sweep(self, capsys):
+    def test_polyomino_render_sweep(self, capsys, monkeypatch):
         # every spec with p <= 3 and entries <= 3: 9 + 81 + 729 = 819
         count = 0
         for p in (1, 2, 3):
             for u, r in product(product((1, 2, 3), repeat=p), repeat=2):
-                out = run_cli(capsys, "polyomino", "--u", ",".join(map(str, u)),
-                              "--r", ",".join(map(str, r)), "--render")[1]
+                argv = ("polyomino", "--u", ",".join(map(str, u)), "--r", ",".join(map(str, r)))
+                out = run_cli(capsys, *argv, "--render")[1]
                 assert out == json.dumps(json.loads(out), indent=2) + "\n"
+                doc = json.loads(out)
+                P = stair(StairSpec(u, r))
+                assert doc["cells"] == [list(c) for c in sorted(P.cells)]
+                assert doc["convex"] is is_convex(P)
+                assert doc["render"] == render_ascii(P)
+                # without --render, no polyomino is built
+                with monkeypatch.context() as guard:
+                    forbid_calls(guard, stair, Polyomino)
+                    plain = run_json(capsys, *argv)
+                del doc["render"]
+                assert plain == doc
                 count += 1
         assert count == 819

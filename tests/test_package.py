@@ -1,6 +1,6 @@
 """The package's public surface: lazily resolved names, and the value
-types that are named tuples (or, for Polyomino, a slotted class) rather
-than dataclasses."""
+types that are named tuples (or, for Polyomino, a frozenset) rather than
+dataclasses."""
 
 import os
 import pickle
@@ -77,7 +77,8 @@ class TestLazyPackage:
         assert "gfc" not in vars(fusscat)
 
 
-# one instance of each value type, its repr and its fields in order
+# one instance of each value type, its repr and the plain value it
+# equals and hashes as: the tuple of its fields, or a polyomino's cell set
 VALUES = [
     (StairSpec((1,), (2,)), "StairSpec(u=(1,), r=(2,))", ((1,), (2,))),
     (HeightBounds((1, 2), (0, 0)), "HeightBounds(a=(1, 2), b=(0, 0))", ((1, 2), (0, 0))),
@@ -86,20 +87,20 @@ VALUES = [
      ((1, 1), (2, 2), (1, 2), (2, 1))),
     (CanonicalGenerator((1, 2), 3), "CanonicalGenerator(alpha=(1, 2), y_len=3)", ((1, 2), 3)),
     (Matrix(1, 2, (5, 6)), "Matrix(rows=1, cols=2, entries=(5, 6))", (1, 2, (5, 6))),
-    (Polyomino([(1, 1)]), "Polyomino(cells=frozenset({(1, 1)}))", (frozenset({(1, 1)}),)),
+    (Polyomino([(1, 1)]), "Polyomino(cells=frozenset({(1, 1)}))", frozenset({(1, 1)})),
 ]
 VALUE_IDS = [type(v).__name__ for v, _, _ in VALUES]
 
 
 class TestValueTypes:
-    @pytest.mark.parametrize("value,text,fields", VALUES, ids=VALUE_IDS)
-    def test_repr_hash_and_pickle(self, value, text, fields):
+    @pytest.mark.parametrize("value,text,plain", VALUES, ids=VALUE_IDS)
+    def test_repr_hash_and_pickle(self, value, text, plain):
         assert repr(value) == text
-        assert hash(value) == hash(fields)
+        assert hash(value) == hash(plain)
         assert pickle.loads(pickle.dumps(value)) == value
 
-    @pytest.mark.parametrize("value,text,fields", VALUES, ids=VALUE_IDS)
-    def test_immutable(self, value, text, fields):
+    @pytest.mark.parametrize("value,text,plain", VALUES, ids=VALUE_IDS)
+    def test_immutable(self, value, text, plain):
         name = text[text.index("(") + 1:text.index("=")]
         with pytest.raises(AttributeError):
             setattr(value, name, None)
@@ -111,6 +112,20 @@ class TestValueTypes:
         # equals the plain tuple of its fields
         assert StairSpec((1,), (2,)) == ((1,), (2,))
         assert Polyomino([(1, 1)]) != (frozenset({(1, 1)}),)
+
+    def test_polyomino_is_its_cell_set(self):
+        cells = frozenset({(1, 1), (1, 2)})
+        P = Polyomino(cells)
+        assert P == cells and hash(P) == hash(cells)
+        assert type(pickle.loads(pickle.dumps(P))) is Polyomino
+
+        class Forged:
+            # unpickles through Polyomino(...), so its checks run again
+            def __reduce__(self):
+                return Polyomino, ([(1, 1), (3, 1)],)
+
+        with pytest.raises(ValueError, match="cells are not edge-connected"):
+            pickle.loads(pickle.dumps(Forged()))
 
     def test_inputs_are_stored_as_tuples(self):
         assert StairSpec([1, 2], [3, 4]) == StairSpec((1, 2), (3, 4))

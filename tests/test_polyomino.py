@@ -59,6 +59,17 @@ class TestStairConstruction:
 
     @settings(max_examples=40, deadline=None)
     @given(stair_specs(max_p=4, max_entry=4))
+    def test_cells_are_sorted_and_follow_the_step_rule(self, spec):
+        cells = list(spec.cells())
+        assert cells == sorted(stair(spec).cells)
+        # step t occupies columns B_(t-1) .. B_t - 1, each of height A_t - 1
+        heights, breaks = spec.heights(), spec.breaks()
+        assert set(cells) == {(x, y) for t in range(spec.p)
+                              for x in range(breaks[t], breaks[t + 1])
+                              for y in range(1, heights[t])}
+
+    @settings(max_examples=40, deadline=None)
+    @given(stair_specs(max_p=4, max_entry=4))
     def test_cell_count(self, spec):
         assert spec.cell_count() == len(stair(spec))
 
