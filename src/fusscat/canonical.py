@@ -30,7 +30,7 @@ from collections import namedtuple
 from itertools import accumulate
 from operator import add
 
-from .brackets import iter_A, validate_triple
+from .brackets import check_enum, validate_triple
 from .caps import check_volume
 from .exactmat import binomial
 from .paths import iter_bounded_compositions
@@ -64,10 +64,15 @@ def stair_generators(n: int, t: int, p: int,
                      max_volume: int | None = None) -> list[CanonicalGenerator]:
     """All canonical-module generators of the uniform staircase ring,
     lexicographically sorted by alpha: the bracket's compositions
-    shifted up by one."""
+    shifted up by one, refused under the same cap (check_enum). They
+    are listed directly, as the compositions of p*n + 1 into p*t + 1
+    parts >= 1 with sum(alpha[:k*t]) <= k*n for k = 1..p-1."""
+    validate_triple(n, t, p)
+    check_enum(n, t, p, max_volume)
     y_len = p * n + 1
-    return [CanonicalGenerator(tuple(a + 1 for a in A), y_len)
-            for A in iter_A(n, t, p, max_volume)]
+    upper = {k * t: k * n for k in range(1, p)}
+    return [CanonicalGenerator(alpha, y_len)
+            for alpha in iter_bounded_compositions(p * n + 1, p * t + 1, 1, upper)]
 
 
 def cm_type_stair(n: int, t: int, p: int, max_volume: int | None = None) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, starmap
 
 from .caps import GFC_METHODS, SearchCapExceeded, check_volume
 
@@ -258,8 +259,9 @@ def json_text(value, indent: str = "") -> str:
 
     json.dumps takes its pure-Python encoder whenever indent is set, at
     several calls per item. This joins each container's items with
-    str.join and writes a list of plain ints with one map(str); the
-    other scalars go to json.dumps.
+    str.join and writes a list of plain ints with one map(str), and a
+    list of plain-int lists of one length (such as cells) with one
+    format template over all rows; the other scalars go to json.dumps.
     """
     if isinstance(value, dict):
         if not value:
@@ -271,8 +273,15 @@ def json_text(value, indent: str = "") -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        if all(type(v) is int for v in value):
+        types = set(map(type, value))
+        if types == {int}:
             items = map(str, value)
+        elif (types <= {list, tuple} and len(lengths := set(map(len, value))) == 1
+              and set(map(type, chain.from_iterable(value))) == {int}):
+            deeper = inner + "  "
+            row = ("[\n" + deeper + (",\n" + deeper).join(["{}"] * lengths.pop())
+                   + "\n" + inner + "]")
+            items = starmap(row.format, value)
         else:
             items = [json_text(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"

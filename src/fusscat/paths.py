@@ -7,7 +7,9 @@ with b_i <= y_i <= a_i. Three routes are provided: a dynamic program
 that builds each row of prefix counts with one accumulate and is capped
 on its n * (a_n - b_1 + 1) cells; the binomial determinant identity, by
 the leading-minor recurrence of its Hessenberg matrix, reading only the
-entries on and above the subdiagonal and building no matrix; and, for
+entries on and above the subdiagonal and building no matrix, each
+column the last one shifted down a row while b stays level, with one
+binomial step per run of equal a; and, for
 small instances, exhaustive enumeration on the package's one composition
 enumerator, iter_bounded_compositions, which also lists the bracket's
 compositions and the canonical-module generators.
@@ -16,8 +18,8 @@ compositions and the canonical-module generators.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, repeat
-from operator import floordiv, gt, mul, sub
+from itertools import accumulate
+from operator import gt, lt, mul
 
 from .caps import check_volume
 from .exactmat import Matrix, binomial
@@ -40,12 +42,12 @@ class HeightBounds(namedtuple("HeightBounds", "a b")):
             problems.append(f"len(a)={len(a)} differs from len(b)={len(b)}")
         if len(a) == 0:
             problems.append("bounds must have length >= 1")
-        if any(x > y for x, y in zip(a, a[1:])):
+        if any(map(gt, a, a[1:])):
             problems.append(f"a is not weakly increasing: {a}")
-        if any(x > y for x, y in zip(b, b[1:])):
+        if any(map(gt, b, b[1:])):
             problems.append(f"b is not weakly increasing: {b}")
-        crossing = [i for i, (x, y) in enumerate(zip(a, b)) if x < y]
-        if crossing:
+        if any(map(lt, a, b)):
+            crossing = [i for i, (x, y) in enumerate(zip(a, b)) if x < y]
             problems.append(f"a_i < b_i at positions {crossing} (0-based)")
         if problems:
             raise ValueError("invalid height bounds: " + "; ".join(problems))
@@ -103,20 +105,30 @@ def _columns(a, b):
     """Yield rows 0..k of each column k of the path matrix
     binom(a_i - b_k + 1, k - i + 1).
 
-    Where b_k == b_(k-1), column k follows from rows 0..k of column k-1
-    (its last row the subdiagonal 1) by one exact step per row:
-    binom(N, K) = binom(N, K - 1) * (N - K + 1) / K, with N = a_i - b_k + 1
-    and K = k - i + 1. A zero entry (N < 0 or K > N) stays zero, so this
-    keeps the zero convention. Only the first column, and a column where
-    b changes, call binomial.
+    The matrix repeats down its diagonals: where a_i == a_(i-1) and
+    b_k == b_(k-1), entry (i, k) equals entry (i-1, k-1). So while b stays
+    level, column k is column k-1 shifted down one row, and only the rows
+    that start a run of equal a (row 0 and each i with a_i > a_(i-1)) take
+    one exact step from row i of column k-1 (row k from the subdiagonal
+    1): binom(N, K) = binom(N, K - 1) * (N - K + 1) / K, with
+    N = a_i - b_k + 1 and K = k - i + 1. A zero entry (N < 0 or K > N)
+    stays zero under both moves, so this keeps the zero convention. On
+    staircase bounds a has p runs, so a column costs one list shift and
+    at most p steps. Only the first column, and a column where b changes,
+    call binomial.
     """
-    # N - K + 1 = (a_i + i) - (b_k + k - 1)
-    a_plus_i = [ai + i for i, ai in enumerate(a)]
+    starts = [i for i in range(len(a)) if i == 0 or a[i] != a[i - 1]]
     col = []
     for k, bk in enumerate(b):
         if k and bk == b[k - 1]:
-            factors = map(sub, a_plus_i, repeat(bk + k - 1))
-            col = list(map(floordiv, map(mul, [*col, 1], factors), range(k + 1, 0, -1)))
+            prev = col
+            col = [0, *prev]
+            # N - K + 1 = (a_i + i) - (b_k + k - 1)
+            base = bk + k - 1
+            for i in starts:
+                if i > k:
+                    break
+                col[i] = (prev[i] if i < k else 1) * (a[i] + i - base) // (k - i + 1)
         else:
             col = [binomial(a[i] - bk + 1, k - i + 1) for i in range(k + 1)]
         yield col

@@ -88,6 +88,33 @@ def height_bounds(draw, max_n=8, min_h=0, max_h=10):
 
 
 @st.composite
+def run_bounds(draw, min_run=3, max_runs=4, min_h=-4, max_h=8):
+    """Height bounds whose a and b both come in runs of at least min_run
+    equal entries."""
+    def runs(n=None):
+        lengths = draw(st.lists(st.integers(min_run, min_run + 3),
+                                min_size=2, max_size=max_runs))
+        values = sorted(draw(st.lists(st.integers(min_h, max_h),
+                                      min_size=len(lengths), max_size=len(lengths))))
+        seq = [v for v, m in zip(values, lengths) for _ in range(m)]
+        if n is None:
+            return seq
+        seq = (seq + [seq[-1]] * n)[:n]
+        # a cut that leaves the last run short joins it to the one before
+        last = seq[-1]
+        tail = len(seq) - seq.index(last)
+        if tail < min_run:
+            seq[-tail:] = [seq[-tail - 1]] * tail
+        return seq
+
+    a = runs()
+    b = runs(len(a))
+    # lifting a by a constant keeps its runs and puts it above b
+    lift = max(0, max(y - x for x, y in zip(a, b)))
+    return HeightBounds([x + lift for x in a], b)
+
+
+@st.composite
 def stair_specs(draw, max_p=3, max_entry=3):
     p = draw(st.integers(1, max_p))
     u = tuple(draw(st.integers(1, max_entry)) for _ in range(p))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import compositions, forbid_stair_builds, ladder_paths, stair_specs
-from fusscat.brackets import enumerate_A, gfc
+from fusscat.brackets import enum_volume, enumerate_A, gfc
 from fusscat.canonical import (
     CanonicalGenerator,
     cm_type_stair,
@@ -103,6 +103,16 @@ class TestClosedForm:
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
             stair_generators(6, 3, 4, max_volume=5)
+        # refused exactly where iter_A is, with the same estimate
+        for n, t, p in ((3, 1, 3), (3, 2, 3), (5, 2, 2), (4, 2, 3)):
+            cap = enum_volume(n, t, p)
+            assert [g.alpha for g in stair_generators(n, t, p, cap)] == [
+                tuple(x + 1 for x in A) for A in enumerate_A(n, t, p, cap)]
+            with pytest.raises(SearchCapExceeded) as want:
+                enumerate_A(n, t, p, cap - 1)
+            with pytest.raises(SearchCapExceeded) as got:
+                stair_generators(n, t, p, cap - 1)
+            assert got.value.estimate == want.value.estimate == cap
 
 
 class TestCmType:

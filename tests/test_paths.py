@@ -15,7 +15,7 @@ from fusscat.paths import (
     staircase_bounds,
 )
 
-from conftest import height_bounds
+from conftest import height_bounds, run_bounds
 
 
 class TestBounds:
@@ -144,14 +144,23 @@ class TestAgreementProperties:
         bounds = staircase_bounds(n, t, p)
         count = count_paths_det(bounds)
         assert count == det_exact(path_count_matrix(bounds)) == count_paths_dp(bounds)
+        # a in p runs of t and b level: every column after the first is a
+        # shift plus one step per run start
+        a = bounds.a
+        assert list(_columns(a, bounds.b)) == [
+            [binomial(a[i] + 1, k - i + 1) for i in range(k + 1)] for k in range(p * t)]
 
-    # b level for a few columns, then changing, with negative heights
+    # b level for a few columns, then changing, with negative heights; and
+    # runs of at least 3 in both a and b, so that shifts, run-start steps
+    # and rebuilds where b changes all occur in one matrix
     @example(HeightBounds((-2, 0, 0, 3, 5, 5), (-3, -3, -1, -1, -1, 2)))
-    @settings(max_examples=200, deadline=None)
-    @given(height_bounds(max_n=10, min_h=-4, max_h=6))
+    @example(HeightBounds((-1, -1, -1, 2, 2, 2, 2, 4, 4, 4), (-3, -3, -3, -3, 0, 0, 0, 1, 1, 1)))
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(height_bounds(max_n=10, min_h=-4, max_h=6), run_bounds()))
     def test_columns_match_entry_formula(self, bounds):
-        # _columns steps a column from the last one while b stays level
-        # and calls binomial where it changes
+        # _columns shifts a column from the last one while b stays level,
+        # steps the rows that start a run of equal a, and calls binomial
+        # where b changes
         a, b = bounds.a, bounds.b
         expected = [[binomial(a[i] - b[k] + 1, k - i + 1) for i in range(k + 1)]
                     for k in range(bounds.n)]
