@@ -12,15 +12,19 @@ algorithms), so their agreement is a check: they must always agree, and
 [n 1]_p specializes to the Fuss-Catalan number C_{p+1}(n).
 
 The composition entries are nonnegative. Enumeration order is
-lexicographic and deterministic so listings can be diffed.
+lexicographic and deterministic so listings can be diffed. The enum
+route lists no composition: it walks the same prefix-sum tree as the
+listing, whose nodes each fix every prefix sum but the last free one,
+and adds up the length of the range that one runs over
+(paths.count_bounded_compositions), under the listing's cap.
 """
 
 from __future__ import annotations
 
 from .caps import GFC_METHODS, check_volume
 from .exactmat import binomial
-from .paths import (check_dp, count_paths_det, count_paths_dp, iter_bounded_compositions,
-                    staircase_bounds, validate_triple)
+from .paths import (check_dp, count_bounded_compositions, count_paths_det, count_paths_dp,
+                    iter_bounded_compositions, staircase_bounds, validate_triple)
 from .polyomino import StairSpec
 
 
@@ -35,7 +39,8 @@ def enum_volume(n: int, t: int, p: int) -> int:
 
 
 def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
-    """Refuse iter_A(n, t, p) when enum_volume exceeds the cap."""
+    """Refuse iter_A(n, t, p) and gfc(n, t, p, "enum") when enum_volume
+    exceeds the cap."""
     check_volume(enum_volume(n, t, p), max_volume,
                  what=f"composition enumeration for (n,t,p)=({n},{t},{p})")
 
@@ -52,13 +57,19 @@ def check_methods(n: int, t: int, p: int, max_volume: int | None = None):
     check_turn_count(StairSpec.uniform(n, t, p), max_volume)
 
 
+def _walk_args(n: int, t: int, p: int, max_volume: int | None = None):
+    """The arguments (total, parts, minimum, upper) of the composition
+    walk over A(n, t, p), after validation and under the cap of
+    check_enum."""
+    validate_triple(n, t, p)
+    check_enum(n, t, p, max_volume)
+    return p * (n - t), p * t + 1, 0, {k * t: k * (n - t) for k in range(1, p)}
+
+
 def iter_A(n: int, t: int, p: int, max_volume: int | None = None):
     """Yield the admissible composition vectors in lexicographic order,
     under the cap of check_enum."""
-    validate_triple(n, t, p)
-    check_enum(n, t, p, max_volume)
-    upper = {k * t: k * (n - t) for k in range(1, p)}
-    yield from iter_bounded_compositions(p * (n - t), p * t + 1, upper=upper)
+    yield from iter_bounded_compositions(*_walk_args(n, t, p, max_volume))
 
 
 def enumerate_A(n: int, t: int, p: int, max_volume: int | None = None):
@@ -71,7 +82,7 @@ def gfc(n: int, t: int, p: int, method: str = "det",
     """The bracket value for (n, t, p) by the requested method."""
     validate_triple(n, t, p)
     if method == "enum":
-        return sum(1 for _ in iter_A(n, t, p, max_volume))
+        return count_bounded_compositions(*_walk_args(n, t, p, max_volume))
     if method == "dp":
         return count_paths_dp(staircase_bounds(n, t, p), max_volume)
     if method == "det":

@@ -32,7 +32,7 @@ costs O(|E|·p) edge steps plus one extremality rank per class pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter, mul
 
@@ -67,39 +67,35 @@ def stair_normals(spec: StairSpec) -> tuple[list[ExpVec], ExpVec]:
     return normals, nu
 
 
-def _unit_coord(a: ExpVec) -> int | None:
-    """k if a is the unit normal e_k, else None."""
-    return a.index(1) if 1 in a and sum(map(abs, a)) == 1 else None
-
-
-@dataclass(frozen=True)
-class ConeRep:
+class ConeRep(namedtuple("ConeRep", "edges normals nu x_len y_len")):
     """A cone given by its generators, as an edge list, plus a candidate
     halfspace description.
 
     The generators are the edge vectors e_i + e_j of the edges (i, j);
     every edge has 0 <= i < x_len <= j < x_len + y_len, which is checked
-    on construction. Certified by verify_h_representation and the tests,
-    not re-checked on construction: every generator g satisfies
-    dot(g, nu) == 0 and dot(g, a) >= 0 for every a in normals. The cached
-    properties are derived from the fields once per instance; `rank_memo`
-    maps each active matrix that is_extreme_generator has ranked to its
-    rank, so it lives and dies with the instance (a `dataclasses.replace`
-    copy starts with an empty one).
+    on construction and by _replace. Certified by verify_h_representation
+    and the tests, not re-checked on construction: every generator g
+    satisfies dot(g, nu) == 0 and dot(g, a) >= 0 for every a in normals.
+    The instances keep a __dict__ for the cached properties, which are
+    derived from the fields once per instance; `rank_memo` maps each
+    active matrix that is_extreme_generator has ranked to its rank, so it
+    lives and dies with the instance (a `_replace` copy starts with an
+    empty one).
     """
 
-    edges: tuple[tuple[int, int], ...]
-    normals: tuple[ExpVec, ...]
-    nu: ExpVec
-    x_len: int
-    y_len: int
-
-    def __post_init__(self):
-        for edge in self.edges:
+    def __new__(cls, edges, normals, nu, x_len, y_len):
+        ambient = x_len + y_len
+        for edge in edges:
             i, j = edge
-            if not 0 <= i < self.x_len <= j < self.ambient_dim:
+            if not 0 <= i < x_len <= j < ambient:
                 raise ValueError(f"edge {edge} is not an x-y edge (i, j) with "
-                                 f"0 <= i < {self.x_len} <= j < {self.ambient_dim}")
+                                 f"0 <= i < {x_len} <= j < {ambient}")
+        return super().__new__(cls, edges, normals, nu, x_len, y_len)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _replace builds through _make; check its edges too
+        return cls(*iterable)
 
     @property
     def ambient_dim(self) -> int:
@@ -109,7 +105,8 @@ class ConeRep:
     def unit_coords(self) -> dict[ExpVec, int | None]:
         """Each normal, mapped to k if it is the unit normal e_k and to
         None otherwise."""
-        return {a: _unit_coord(a) for a in self.normals}
+        return {a: a.index(1) if a.count(0) == len(a) - 1 and 1 in a else None
+                for a in self.normals}
 
     @cached_property
     def unit_facets(self) -> frozenset[int]:

@@ -11,8 +11,17 @@ entries on and above the subdiagonal and building no matrix, each
 column the last one shifted down a row while b stays level, with one
 binomial step per run of equal a; and, for
 small instances, exhaustive enumeration on the package's one composition
-enumerator, iter_bounded_compositions, which also lists the bracket's
-compositions and the canonical-module generators.
+walker, _walk.
+
+_walk visits the internal nodes of the prefix-sum tree of the bounded
+compositions. A node is a fixed prefix of prefix sums plus the range
+first..top that the last free prefix sum runs over, so each node stands
+for top - first + 1 compositions. Three views read the nodes:
+iter_bounded_compositions lists one tuple per value of the range (the
+bracket's compositions, the canonical-module generators and the search's
+lattice points), count_bounded_compositions adds up the range lengths
+without building a tuple (the bracket's enum route), and
+iter_height_sequences reads the heights off the prefix sums.
 """
 
 from __future__ import annotations
@@ -161,16 +170,21 @@ def count_paths_det(bounds: HeightBounds) -> int:
     return -alt[-1] if bounds.n % 2 else alt[-1]
 
 
-def iter_bounded_compositions(total: int, parts: int, minimum: int = 0,
-                              upper: dict[int, int] | None = None,
-                              lower: dict[int, int] | None = None):
-    """Yield the compositions of total into the given number of parts in
+def _walk(total: int, parts: int, minimum: int = 0,
+          upper: dict[int, int] | None = None, lower: dict[int, int] | None = None):
+    """Yield (prefix, comp, span) at each internal node of the prefix-sum
+    tree of the compositions that iter_bounded_compositions lists, in
     lexicographic order.
 
-    Every entry is >= minimum, and lower[k] <= sum(c[:k]) <= upper[k] for
-    each prefix length k that the mappings ``lower`` and ``upper`` name.
-    The walk is iterative over the prefix sums, so the number of parts is
-    not limited by the interpreter's recursion depth.
+    A node fixes the prefix sums prefix[1..parts-2] (prefix[0] = 0), and
+    comp[:parts-2] holds their entries; its leaves are the compositions
+    whose last free prefix sum s = sum(c[:parts-1]) runs over the range
+    span, with c[parts-2] = s - prefix[parts-2] and c[parts-1] = total - s.
+    span is never empty. prefix and comp are the same lists at every node,
+    valid until the next one. With fewer than two parts there is no free
+    prefix sum, and a feasible walk has one node whose span holds one
+    value. The walk is iterative, so the number of parts is not limited by
+    the interpreter's recursion depth.
     """
     # hi[k], lo[k]: range of the prefix sum of the first k entries. hi is
     # tightened backwards because each later entry adds at least minimum;
@@ -184,15 +198,17 @@ def iter_bounded_compositions(total: int, parts: int, minimum: int = 0,
         lo[k] = max(lo[k], bound)
     for k in range(parts - 1, -1, -1):
         hi[k] = min(hi[k], hi[k + 1] - minimum)
-    if lo[0] > 0 or any(map(gt, lo, hi)):
+    # the empty prefix sums to 0, which lo[0] and hi[0] must allow
+    if not lo[0] <= 0 <= hi[0] or any(map(gt, lo, hi)):
         return
+    prefix = [0] * parts
+    comp = [0] * parts
     if parts < 2:
-        yield (total,) * parts
+        yield prefix, comp, range(1)
         return
 
     last = parts - 1
-    prefix = [0] * parts
-    comp = [0] * parts
+    first, stop = lo[last], hi[last] + 1
     k = 0
     while True:
         # fill positions k+1 .. last-1 with their smallest prefix sums
@@ -202,13 +218,8 @@ def iter_bounded_compositions(total: int, parts: int, minimum: int = 0,
                 s = lo[j]
             prefix[j] = s
             comp[j - 1] = s - prefix[j - 1]
-        # the innermost free prefix sum runs over its range; the last
-        # entry takes what is left of total
-        before = prefix[last - 1]
-        for s in range(max(before + minimum, lo[last]), hi[last] + 1):
-            comp[last - 1] = s - before
-            comp[last] = total - s
-            yield tuple(comp)
+        s = prefix[last - 1] + minimum
+        yield prefix, comp, range(s if s > first else first, stop)
         # advance the deepest earlier prefix sum still below its bound
         k = last - 1
         while k > 0 and prefix[k] == hi[k]:
@@ -219,12 +230,46 @@ def iter_bounded_compositions(total: int, parts: int, minimum: int = 0,
         comp[k - 1] += 1
 
 
+def iter_bounded_compositions(total: int, parts: int, minimum: int = 0,
+                              upper: dict[int, int] | None = None,
+                              lower: dict[int, int] | None = None):
+    """Yield the compositions of total into the given number of parts in
+    lexicographic order.
+
+    Every entry is >= minimum, and lower[k] <= sum(c[:k]) <= upper[k] for
+    each prefix length k that the mappings ``lower`` and ``upper`` name.
+    This is the listing view of _walk: each node yields one tuple per
+    value of its span.
+    """
+    last = parts - 1
+    for prefix, comp, span in _walk(total, parts, minimum, upper, lower):
+        if last < 1:
+            yield (total,) * parts
+            return
+        before = prefix[last - 1]
+        for s in span:
+            comp[last - 1] = s - before
+            comp[last] = total - s
+            yield tuple(comp)
+
+
+def count_bounded_compositions(total: int, parts: int, minimum: int = 0,
+                               upper: dict[int, int] | None = None,
+                               lower: dict[int, int] | None = None) -> int:
+    """len(list(iter_bounded_compositions(...))) with the same arguments,
+    without building a tuple: the counting view of _walk adds up the
+    length of each node's span."""
+    return sum(len(span) for _, _, span in _walk(total, parts, minimum, upper, lower))
+
+
 def iter_height_sequences(bounds: HeightBounds, max_volume: int | None = None):
     """Yield all admissible height sequences in lexicographic order.
 
-    A sequence is the prefix sums, shifted by b_1, of n + 1 nonnegative
-    increments summing to a_n - b_1. Refuses instances with n > 12 or box
-    volume prod(a_i - b_i + 1) above the cap.
+    A sequence is the prefix sums, shifted by base = min(b_1, 0), of n + 1
+    nonnegative increments summing to a_n - base, read off the walk's
+    nodes: y_1 .. y_(n-1) from the node's fixed prefix sums, y_n from its
+    span. Refuses instances with n > 12 or box volume
+    prod(a_i - b_i + 1) above the cap.
     """
     a, b = bounds.a, bounds.b
     n = bounds.n
@@ -235,12 +280,13 @@ def iter_height_sequences(bounds: HeightBounds, max_volume: int | None = None):
         volume *= x - y + 1
     check_volume(volume, max_volume, what="height-sequence enumeration")
 
-    base = b[0]
+    base = min(b[0], 0)
     upper = {k: a[k - 1] - base for k in range(1, n + 1)}
     lower = {k: b[k - 1] - base for k in range(1, n + 1)}
-    for steps in iter_bounded_compositions(a[-1] - base, n + 1, 0, upper, lower):
-        # prefix sums without the start and the pinned end
-        yield tuple(accumulate(steps, initial=base))[1:-1]
+    for prefix, _, span in _walk(a[-1] - base, n + 1, 0, upper, lower):
+        head = tuple([base + h for h in prefix[1:n]] if base else prefix[1:n])
+        for y in range(span.start + base, span.stop + base):
+            yield head + (y,)
 
 
 def enumerate_height_sequences(bounds: HeightBounds, max_volume: int | None = None):

@@ -89,15 +89,19 @@ class TestBracket:
 
 class TestIndependentRoutes:
     def test_dropped_composition_breaks_agreement(self, monkeypatch):
-        walk = brackets.iter_A
+        # one leaf fewer at the walk's first node: the counting view that
+        # enum runs and the listing view both lose that composition
+        walk = paths._walk
 
         def drop_first(*args, **kwargs):
-            walked = walk(*args, **kwargs)
-            next(walked)
-            yield from walked
+            nodes = walk(*args, **kwargs)
+            prefix, comp, span = next(nodes)
+            yield prefix, comp, span[1:]
+            yield from nodes
 
-        monkeypatch.setattr(brackets, "iter_A", drop_first)
+        monkeypatch.setattr(paths, "_walk", drop_first)
         assert gfc(4, 2, 2, "enum") == 52
+        assert len(enumerate_A(4, 2, 2)) == 52
         assert gfc(4, 2, 2, "canonical") == 53
         passed, _ = selftest.check_symmetry_and_methods(n_max=4, p_max=2)
         assert not passed
@@ -107,7 +111,8 @@ class TestIndependentRoutes:
             raise AssertionError("composition walk")
 
         for module in (brackets, canonical, paths):
-            for name in ("iter_A", "iter_bounded_compositions"):
+            for name in ("iter_A", "iter_bounded_compositions", "count_bounded_compositions",
+                         "_walk"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         assert gfc(6, 3, 4, "canonical") == gfc(6, 3, 4, "det")

@@ -248,7 +248,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("a method ran")
 
-        for name in ("iter_A", "count_paths_dp", "count_paths_det"):
+        for name in ("iter_A", "count_bounded_compositions", "count_paths_dp", "count_paths_det"):
             monkeypatch.setattr(brackets, name, refuse)
         monkeypatch.setattr(canonical, "top_turn_count", refuse)
         code, out, err = run_cli(capsys, "--max-volume", "9", "gfc", "--n", "4",
@@ -328,8 +328,8 @@ def loaded_modules(*argv) -> tuple[int, set[str]]:
 
 class TestImportContract:
     """A subcommand loads only the modules it runs: no dataclasses (and
-    so no inspect) outside cone-verify and selftest, no cone where no
-    cone is built, and nothing of the library before validation."""
+    so no inspect) outside selftest, no cone where no cone is built, and
+    nothing of the library before validation."""
 
     @pytest.mark.parametrize("argv", [
         ("polyomino", "--u", "3,3,3", "--r", "1,1,1", "--render"),
@@ -348,7 +348,7 @@ class TestImportContract:
         code, modules = loaded_modules("cone-verify", "--u", "3,3,3", "--r", "2,2,2")
         assert code == 0
         assert "fusscat.cone" in modules
-        assert not modules & {"fusscat.canonical", "fusscat.selftest"}
+        assert not modules & {"dataclasses", "inspect", "fusscat.canonical", "fusscat.selftest"}
 
     def test_validation_error_loads_no_library_module(self):
         code, modules = loaded_modules("canonical", "--n", "3", "--t", "1")

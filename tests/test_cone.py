@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-from dataclasses import replace
 from itertools import product
 
 import hypothesis.strategies as st
@@ -236,7 +235,7 @@ class TestExtremeRays:
             distinct.add(tuple((a[i], a[j]) for a in active if a[i] or a[j]))
         assert 1 <= len(calls) <= len(distinct) < len(c.edges)
         # the memo belongs to the instance: a copy ranks again
-        copy = replace(c, normals=c.normals)
+        copy = c._replace(normals=c.normals)
         assert copy.rank_memo == {}
         assert all(is_extreme_generator(copy, k) for k in range(len(copy.edges)))
         assert len(calls) == 2 * len(c.rank_memo)
@@ -252,6 +251,13 @@ class TestFacets:
         assert facet_check(c, c.normals[0])  # first step normal
         unit = tuple(1 if i == 0 else 0 for i in range(14))
         assert facet_check(c, unit)
+
+    def test_unit_coords_only_for_unit_vectors(self):
+        c = stair_cone(SINGLE)
+        others = ((-1, 0, 0, 0), (0, 2, 0, 0), (0, 1, 0, -1), (0, 0, 0, 0))
+        c = c._replace(normals=c.normals + others)
+        assert [c.unit_coords[a] for a in c.normals] == [0, 1, 2, 3, None, None, None, None]
+        assert c.other_normals == others
 
     def test_rejects_unknown_normal(self):
         c = stair_cone(SINGLE)
@@ -269,8 +275,8 @@ class TestFacets:
         c = stair_cone(spec)
         d = c.ambient_dim
         non_facet = tuple(x + y for x, y in zip(c.normals[-1], c.normals[-2]))
-        variants = [c, replace(c, normals=c.normals + (non_facet,))] + [
-            replace(c, normals=c.normals[:k] + c.normals[k + 1:])
+        variants = [c, c._replace(normals=c.normals + (non_facet,))] + [
+            c._replace(normals=c.normals[:k] + c.normals[k + 1:])
             for k in range(len(c.normals))
         ]
         for v in variants:
@@ -289,7 +295,7 @@ class TestFacets:
         # SINGLE has x-coordinates 0, 1 and y-coordinates 2, 3
         c = stair_cone(SINGLE)
         with pytest.raises(ValueError, match=re.escape(f"edge {bad} is not an x-y edge")):
-            replace(c, edges=c.edges + (bad,))
+            c._replace(edges=c.edges + (bad,))
 
 
 class TestEdgeRank:
@@ -332,7 +338,7 @@ class TestUnitFacets:
             for u, r in product(product((1, 2), repeat=p), repeat=2):
                 c = stair_cone(StairSpec(u, r))
                 assert c.unit_facets == frozenset(range(c.ambient_dim))
-                mutants += [replace(c, edges=c.edges[:k] + c.edges[k + 1:])
+                mutants += [c._replace(edges=c.edges[:k] + c.edges[k + 1:])
                             for k in range(len(c.edges))]
         reports = [certify(m) for m in mutants]
         monkeypatch.setattr(cone, "facet_check", union_find_facet)
@@ -346,7 +352,7 @@ class TestCompleteness:
     def test_dropped_step_normal_is_caught(self):
         # without its step normal this cone passes every other check
         c = stair_cone(StairSpec((1, 1), (1, 1)))
-        report = certify(replace(c, normals=c.normals[1:]))
+        report = certify(c._replace(normals=c.normals[1:]))
         assert [k for k, v in report["checks"].items() if not v["passed"]] == ["complete"]
         assert report["checks"]["complete"]["failures"] == [
             "x_1 meets y [1, 2], the normals allow y_1..y_3"]
@@ -358,17 +364,17 @@ class TestCompleteness:
                 c = stair_cone(StairSpec(u, r))
                 assert certify(c)["checks"]["complete"] == {"passed": True, "failures": []}
                 for k in range(len(c.normals)):
-                    report = certify(replace(c, normals=c.normals[:k] + c.normals[k + 1:]))
+                    report = certify(c._replace(normals=c.normals[:k] + c.normals[k + 1:]))
                     assert not report["checks"]["complete"]["passed"], (u, r, k)
                     assert not report["all_passed"]
                     mutants += 1
         assert mutants == 996
 
     @pytest.mark.parametrize("change, witness", [
-        (lambda c: replace(c, nu=(1, -1, 1, -1)), "nu [1, -1, 1, -1] is not (1^2, -1^2)"),
-        (lambda c: replace(c, normals=c.normals + ((0, 0, -1, 1),)),
+        (lambda c: c._replace(nu=(1, -1, 1, -1)), "nu [1, -1, 1, -1] is not (1^2, -1^2)"),
+        (lambda c: c._replace(normals=c.normals + ((0, 0, -1, 1),)),
          "normal [0, 0, -1, 1] is not -1 on an x-prefix and +1 on a y-prefix"),
-        (lambda c: replace(c, normals=c.normals + ((0, -1, 1, 0),)),
+        (lambda c: c._replace(normals=c.normals + ((0, -1, 1, 0),)),
          "normal [0, -1, 1, 0] is not -1 on an x-prefix and +1 on a y-prefix"),
     ])
     def test_unchecked_shapes_fail(self, change, witness):
@@ -419,7 +425,7 @@ class TestVerifyReport:
         # +1 on y_1..y_7)
         c = stair_cone(P1)
         outside = tuple(int(k in (1, 13)) for k in range(14))
-        report = certify(replace(c, edges=c.edges + ((1, 13),)))
+        report = certify(c._replace(edges=c.edges + ((1, 13),)))
         assert report["checks"]["containment"] == {"passed": False, "failures": [list(outside)]}
         assert not report["checks"]["complete"]["passed"]
 
@@ -427,7 +433,7 @@ class TestVerifyReport:
         # without e_1, x_1 is free at the generators x_2 y_j: they are not
         # extreme rays, and the report names them as dense vectors
         c = stair_cone(SINGLE)
-        report = certify(replace(c, normals=c.normals[1:]))
+        report = certify(c._replace(normals=c.normals[1:]))
         assert report["checks"]["extreme_generators"] == {
             "passed": False, "failures": [[0, 1, 1, 0], [0, 1, 0, 1]]}
 
@@ -445,12 +451,12 @@ class TestVerifyReport:
                 m = c.x_len
                 y_1 = (1,) + (0,) * (c.y_len - 1)
                 mutants = [
-                    [replace(c, edges=c.edges[:k] + c.edges[k + 1:]) for k in range(len(c.edges))],
-                    [replace(c, normals=c.normals[:k] + c.normals[k + 1:])
+                    [c._replace(edges=c.edges[:k] + c.edges[k + 1:]) for k in range(len(c.edges))],
+                    [c._replace(normals=c.normals[:k] + c.normals[k + 1:])
                      for k in range(len(c.normals))],
-                    [replace(c, nu=c.nu[:i] + (-1,) + c.nu[i + 1:])
+                    [c._replace(nu=c.nu[:i] + (-1,) + c.nu[i + 1:])
                      for i in sorted({b - 2 for b in spec.breaks()[1:]} | {m - 1})],
-                    [replace(c, normals=c.normals + (tuple(-int(k == i) for k in range(m)) + y_1,))
+                    [c._replace(normals=c.normals + (tuple(-int(k == i) for k in range(m)) + y_1,))
                      for i in range(m)],
                 ]
                 cones.append(c)

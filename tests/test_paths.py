@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -7,15 +9,17 @@ from fusscat.exactmat import binomial, det_exact
 from fusscat.paths import (
     HeightBounds,
     _columns,
+    count_bounded_compositions,
     count_paths_det,
     count_paths_dp,
     enumerate_height_sequences,
+    iter_bounded_compositions,
     iter_height_sequences,
     path_count_matrix,
     staircase_bounds,
 )
 
-from conftest import height_bounds, run_bounds
+from conftest import compositions, height_bounds, run_bounds
 
 
 class TestBounds:
@@ -112,6 +116,16 @@ class TestEnumeration:
         assert seqs == sorted(seqs)
         assert all(all(x <= y for x, y in zip(s, s[1:])) for s in seqs)
 
+    @settings(max_examples=150, deadline=None)
+    @given(height_bounds(max_n=4, min_h=-4, max_h=5))
+    @example(HeightBounds((-1, 2), (-3, -2)))
+    @example(HeightBounds((3, 4), (2, 2)))
+    def test_listing_matches_the_box(self, bounds):
+        # every weakly increasing point of the box prod [b_i, a_i], in order
+        box = product(*(range(y, x + 1) for x, y in zip(bounds.a, bounds.b)))
+        expected = [h for h in box if all(x <= y for x, y in zip(h, h[1:]))]
+        assert list(iter_height_sequences(bounds)) == expected
+
     def test_length_cap(self):
         bounds = HeightBounds((1,) * 13, (0,) * 13)
         with pytest.raises(ValueError, match="n <= 12"):
@@ -202,3 +216,48 @@ class TestAgreementProperties:
             raised_b[j] = max(raised_b[j], raised_b[i])
         if all(x >= y for x, y in zip(bounds.a, raised_b)):
             assert count_paths_dp(HeightBounds(bounds.a, tuple(raised_b))) <= base
+
+
+@st.composite
+def walk_args(draw):
+    """(total, parts, minimum, upper, lower) for the composition walk:
+    parts 0, 1 and more, and prefix bounds that may leave nothing, the
+    pinned sums at 0 and at parts included."""
+    parts = draw(st.integers(0, 6))
+    total = draw(st.integers(-2, 9))
+    minimum = draw(st.integers(0, 2))
+    keys = st.integers(0, parts)
+    values = st.integers(-1, 10)
+    upper = draw(st.none() | st.dictionaries(keys, values, max_size=3))
+    lower = draw(st.none() | st.dictionaries(keys, values, max_size=3))
+    return total, parts, minimum, upper, lower
+
+
+class TestCompositionWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_args())
+    @example((0, 0, 0, None, None))
+    @example((-1, 0, 0, None, None))
+    @example((3, 1, 0, None, {1: 4}))
+    @example((5, 3, 2, None, None))
+    def test_counting_view_counts_the_listing(self, args):
+        assert count_bounded_compositions(*args) == len(list(iter_bounded_compositions(*args)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_args())
+    @example((-1, 0, 0, None, None))
+    @example((4, 3, 1, {2: 2}, {1: 1, 3: 4}))
+    def test_listing_matches_stars_and_bars(self, args):
+        total, parts, minimum, upper, lower = args
+
+        def allowed(c):
+            prefix = [sum(c[:k]) for k in range(parts + 1)]
+            return (all(prefix[k] <= bound for k, bound in (upper or {}).items())
+                    and all(prefix[k] >= bound for k, bound in (lower or {}).items()))
+
+        if parts == 0:
+            everything = [()] if total == 0 else []
+        else:
+            everything = compositions(total, parts, minimum)
+        expected = sorted(filter(allowed, everything))
+        assert list(iter_bounded_compositions(*args)) == expected
