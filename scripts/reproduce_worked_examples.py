@@ -13,10 +13,10 @@ from fusscat.paths import path_count_matrix, staircase_bounds
 from fusscat.polyomino import StairSpec, krull_dim, render_ascii, stair, vertex_set
 
 
-def show_matrix(matrix):
-    width = max(len(str(x)) for x in matrix.entries)
-    for i in range(matrix.rows):
-        print("   [" + " ".join(f"{x:>{width}}" for x in matrix.row(i)) + "]")
+def show_matrix(rows):
+    width = max(len(str(x)) for row in rows for x in row)
+    for row in rows:
+        print("   [" + " ".join(f"{x:>{width}}" for x in row) + "]")
 
 
 def main():

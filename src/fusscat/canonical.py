@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate
-from operator import add
+from operator import add, mul
 
 from .brackets import check_enum, validate_triple
 from .caps import check_volume
@@ -242,10 +242,6 @@ def hilbert_numerator(spec: StairSpec, degree_max: int,
 def numerator_from_hilbert(H: list[int], dim: int) -> list[int]:
     """The coefficients of (sum_d H[d] t^d) * (1 - t)^dim up to degree
     len(H) - 1, from the Hilbert function values H[0..]."""
-    coeffs = []
-    for k in range(len(H)):
-        acc = 0
-        for j in range(k + 1):
-            acc += (-1) ** j * binomial(dim, j) * H[k - j]
-        coeffs.append(acc)
-    return coeffs
+    # the coefficients of (1 - t)^dim that reach degree len(H) - 1
+    signed = [(-1) ** j * binomial(dim, j) for j in range(min(dim + 1, len(H)))]
+    return [sum(map(mul, signed, H[k::-1])) for k in range(len(H))]

@@ -318,10 +318,7 @@ def main(argv=None) -> int:
             "hilbert": _run_hilbert,
         }[args.command]
         doc = handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SearchCapExceeded as exc:

@@ -66,9 +66,6 @@ class Matrix(namedtuple("Matrix", "rows cols entries")):
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
 
 def _eliminate(m: Matrix) -> tuple[int, int]:
     """Fraction-free (Bareiss) elimination with row pivoting: every
@@ -78,7 +75,7 @@ def _eliminate(m: Matrix) -> tuple[int, int]:
     row holds a pivot. Returns the rank and the last pivot times the sign
     of the row swaps: the determinant of a square matrix of full rank.
     """
-    rows = [r for r in m.row_lists() if any(r)]
+    rows = [list(r) for r in map(m.row, range(m.rows)) if any(r)]
     ncols = m.cols
     rank = 0
     prev = sign = 1

@@ -31,7 +31,7 @@ from itertools import accumulate
 from operator import gt, lt, mul
 
 from .caps import check_volume
-from .exactmat import Matrix, binomial
+from .exactmat import binomial
 
 
 class HeightBounds(namedtuple("HeightBounds", "a b")):
@@ -143,13 +143,13 @@ def _columns(a, b):
         yield col
 
 
-def path_count_matrix(bounds: HeightBounds) -> Matrix:
-    """The n x n matrix binom(a_i - b_j + 1, j - i + 1) whose determinant
-    counts the paths: the rows i <= j of each column from _columns, then
-    the subdiagonal 1 and zeros (see count_paths_det)."""
+def path_count_matrix(bounds: HeightBounds) -> tuple[tuple[int, ...], ...]:
+    """The rows of the n x n matrix binom(a_i - b_j + 1, j - i + 1) whose
+    determinant counts the paths: the rows i <= j of each column from
+    _columns, then the subdiagonal 1 and zeros (see count_paths_det)."""
     n = bounds.n
     columns = [(col + [1] + [0] * n)[:n] for col in _columns(bounds.a, bounds.b)]
-    return Matrix.from_rows(zip(*columns))
+    return tuple(zip(*columns))
 
 
 def count_paths_det(bounds: HeightBounds) -> int:
@@ -184,8 +184,11 @@ def _walk(total: int, parts: int, minimum: int = 0,
     valid until the next one. With fewer than two parts there is no free
     prefix sum, and a feasible walk has one node whose span holds one
     value. The walk is iterative, so the number of parts is not limited by
-    the interpreter's recursion depth.
+    the interpreter's recursion depth. It floors every prefix sum at 0, so
+    a negative minimum raises ValueError.
     """
+    if minimum < 0:
+        raise ValueError(f"minimum must be >= 0, got {minimum}")
     # hi[k], lo[k]: range of the prefix sum of the first k entries. hi is
     # tightened backwards because each later entry adds at least minimum;
     # then every prefix kept inside the ranges has a completion, and the
@@ -236,8 +239,9 @@ def iter_bounded_compositions(total: int, parts: int, minimum: int = 0,
     """Yield the compositions of total into the given number of parts in
     lexicographic order.
 
-    Every entry is >= minimum, and lower[k] <= sum(c[:k]) <= upper[k] for
-    each prefix length k that the mappings ``lower`` and ``upper`` name.
+    Every entry is >= minimum, which must be >= 0, and lower[k] <=
+    sum(c[:k]) <= upper[k] for each prefix length k that the mappings
+    ``lower`` and ``upper`` name.
     This is the listing view of _walk: each node yields one tuple per
     value of its span.
     """

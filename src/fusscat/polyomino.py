@@ -37,11 +37,6 @@ class Polyomino(frozenset):
             raise ValueError("cells are not edge-connected")
         return self
 
-    @property
-    def cells(self) -> frozenset[Cell]:
-        """The cell set, which is P itself."""
-        return self
-
     def __repr__(self):
         return f"Polyomino(cells={frozenset(self)!r})"
 
@@ -169,7 +164,7 @@ def stair(spec: StairSpec) -> Polyomino:
 def vertex_set(P: Polyomino) -> list[Point]:
     """All corners of all cells, lexicographically sorted."""
     pts = set()
-    for x, y in P.cells:
+    for x, y in P:
         pts.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
     return sorted(pts)
 
@@ -178,7 +173,7 @@ def is_convex(P: Polyomino) -> bool:
     """Row and column convexity of the cell set."""
     by_row: dict[int, list[int]] = {}
     by_col: dict[int, list[int]] = {}
-    for x, y in P.cells:
+    for x, y in P:
         by_row.setdefault(y, []).append(x)
         by_col.setdefault(x, []).append(y)
     for xs in by_row.values():
@@ -203,9 +198,8 @@ def inner_intervals(P: Polyomino) -> list[InnerInterval]:
     Containment of each candidate rectangle is tested in O(1) against a
     2-D prefix count of the occupied cells.
     """
-    cells = P.cells
-    max_x = max(x for x, _ in cells) + 1
-    max_y = max(y for _, y in cells) + 1
+    max_x = max(x for x, _ in P) + 1
+    max_y = max(y for _, y in P) + 1
     # occupancy prefix counts: pref[x][y] = #cells in [1..x] x [1..y]
     pref = [[0] * (max_y + 1) for _ in range(max_x + 1)]
     for x in range(1, max_x + 1):
@@ -214,7 +208,7 @@ def inner_intervals(P: Polyomino) -> list[InnerInterval]:
         for y in range(1, max_y + 1):
             row[y] = (
                 prow[y] + row[y - 1] - prow[y - 1]
-                + (1 if (x, y) in cells else 0)
+                + (1 if (x, y) in P else 0)
             )
 
     def rect_full(x1, y1, x2, y2) -> bool:
@@ -240,16 +234,15 @@ def krull_dim(P: Polyomino) -> int:
     """|V(P)| - |cells|; only meaningful (and only allowed) for convex P."""
     if not is_convex(P):
         raise ValueError("dimension formula requires a convex polyomino")
-    return len(vertex_set(P)) - len(P.cells)
+    return len(vertex_set(P)) - len(P)
 
 
 def render_ascii(P: Polyomino) -> str:
     """Character-grid picture, one '#' per cell, origin at lower left."""
-    cells = P.cells
-    max_x = max(x for x, _ in cells)
-    max_y = max(y for _, y in cells)
+    max_x = max(x for x, _ in P)
+    max_y = max(y for _, y in P)
     lines = []
     for y in range(max_y, 0, -1):
-        lines.append("".join("#" if (x, y) in cells else "." for x in range(1, max_x + 1)))
+        lines.append("".join("#" if (x, y) in P else "." for x in range(1, max_x + 1)))
     return "\n".join(lines)
 

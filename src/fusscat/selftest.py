@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 from itertools import combinations_with_replacement, product
 
@@ -36,13 +36,7 @@ P1_NUMERATOR = [1, 18, 66, 55]
 P2_NUMERATOR = [1, 36, 318, 960, 1071, 444, 55]
 
 
-@dataclass
-class CheckResult:
-    number: int
-    name: str
-    passed: bool
-    seconds: float
-    detail: str
+CheckResult = namedtuple("CheckResult", "number name passed seconds detail")
 
 
 def _timed(number, name, fn) -> CheckResult:
@@ -68,8 +62,7 @@ def check_example(t, matrix):
     """Criteria 1 and 2: the bracket at (3, t, 3) is 55 by all four
     methods and the determinant route uses the reference matrix."""
     values = {m: brackets.gfc(3, t, 3, m) for m in brackets.GFC_METHODS}
-    path_matrix = paths.path_count_matrix(paths.staircase_bounds(3, t, 3))
-    rows = tuple(path_matrix.row(i) for i in range(path_matrix.rows))
+    rows = paths.path_count_matrix(paths.staircase_bounds(3, t, 3))
     ok = all(v == 55 for v in values.values()) and rows == matrix
     return ok, f"values={values}, matrix_match={rows == matrix}"
 
@@ -85,15 +78,12 @@ def check_symmetry_and_methods(n_max=6, p_max=4):
               for p in range(1, p_max + 1) for t in range(1, n))
     for n in range(2, n_max + 1):
         for p in range(1, p_max + 1):
-            values = {}
             for t in range(1, n):
                 per_method = {m: brackets.gfc(n, t, p, m, cap) for m in brackets.GFC_METHODS}
                 if len(set(per_method.values())) != 1:
                     bad.append((n, t, p, "methods", per_method))
-                values[t] = per_method["det"]
-            for t in range(1, n):
-                if values[t] != values[n - t]:
-                    bad.append((n, t, p, "symmetry", values[t], values[n - t]))
+            if not brackets.check_symmetry(n, p)["all_equal"]:
+                bad.append((n, p, "symmetry"))
     return not bad, f"checked n<={n_max}, p<={p_max}, mismatches={bad!r}"
 
 
@@ -213,15 +203,22 @@ def check_hilbert_numerators():
 
 def check_inner_minor_identity(p_max=3, entry_max=3):
     """Criterion 11: the vertex-to-exponent map kills every inner
-    2-minor: vec(a) + vec(b) == vec(c) + vec(d) on each inner interval."""
+    2-minor: vec(a) + vec(b) == vec(c) + vec(d) on each inner interval.
+    That identity holds on any rectangle, so the intervals must also be
+    as many as spec.inner_interval_count(), and each must have its
+    top-left cell in P: columns never get shorter to the right, so a
+    rectangle's left column is its shortest."""
     bad = []
     for spec in iter_stair_specs(p_max, entry_max):
         P = polyomino.stair(spec)
         m, n = spec.ambient_box()
-        for iv in polyomino.inner_intervals(P):
+        intervals = polyomino.inner_intervals(P)
+        if len(intervals) != spec.inner_interval_count():
+            bad.append((spec.u, spec.r, "count", len(intervals)))
+        for iv in intervals:
             left = sorted((iv.a[0], m + iv.a[1], iv.b[0], m + iv.b[1]))
             right = sorted((iv.c[0], m + iv.c[1], iv.d[0], m + iv.d[1]))
-            if left != right:
+            if left != right or (iv.a[0], iv.b[1] - 1) not in P:
                 bad.append((spec.u, spec.r, iv))
                 break
     return not bad, f"failures={bad!r}"

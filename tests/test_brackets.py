@@ -106,6 +106,19 @@ class TestIndependentRoutes:
         passed, _ = selftest.check_symmetry_and_methods(n_max=4, p_max=2)
         assert not passed
 
+    def test_asymmetric_bracket_fails_criterion_3(self, monkeypatch):
+        # every method gains 1 above t = n/2: the methods still agree, so
+        # only the symmetry half of the criterion can fail
+        exact = brackets.gfc
+
+        def lopsided(n, t, p, method="det", max_volume=None):
+            return exact(n, t, p, method, max_volume) + (2 * t > n)
+
+        monkeypatch.setattr(brackets, "gfc", lopsided)
+        passed, detail = selftest.check_symmetry_and_methods(n_max=4, p_max=2)
+        assert not passed
+        assert "symmetry" in detail and "methods" not in detail
+
     def test_canonical_walks_no_compositions(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("composition walk")

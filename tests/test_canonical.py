@@ -17,6 +17,7 @@ from fusscat.canonical import (
     hilbert_function,
     hilbert_numerator,
     minimal_generators_search,
+    numerator_from_hilbert,
     stair_generators,
     top_turn_count,
 )
@@ -266,6 +267,19 @@ class TestHilbert:
     def test_single_cell_numerator(self):
         assert hilbert_function(SINGLE, 1)[1] == 4
         assert hilbert_numerator(SINGLE, 1) == [1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=30), st.integers(1, 40))
+    def test_numerator_times_inverse_power_is_hilbert(self, H, dim):
+        # 1/(1 - t)^dim = sum_j binom(dim + j - 1, j) t^j multiplies h back to H
+        h = numerator_from_hilbert(H, dim)
+        assert len(h) == len(H)
+        assert H == [sum(binomial(dim + j - 1, j) * h[k - j] for j in range(k + 1))
+                     for k in range(len(H))]
+
+    @given(st.lists(st.integers(), max_size=30))
+    def test_numerator_in_dimension_zero_is_hilbert(self, H):
+        assert numerator_from_hilbert(H, 0) == H
 
     def test_reference_numerators(self):
         assert hilbert_numerator(P1, 3) == [1, 18, 66, 55]

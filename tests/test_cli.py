@@ -327,9 +327,9 @@ def loaded_modules(*argv) -> tuple[int, set[str]]:
 
 
 class TestImportContract:
-    """A subcommand loads only the modules it runs: no dataclasses (and
-    so no inspect) outside selftest, no cone where no cone is built, and
-    nothing of the library before validation."""
+    """A subcommand loads only the modules it runs: no dataclasses or
+    inspect in any subcommand, selftest included, no cone where no cone
+    is built, and nothing of the library before validation."""
 
     @pytest.mark.parametrize("argv", [
         ("polyomino", "--u", "3,3,3", "--r", "1,1,1", "--render"),
@@ -342,13 +342,19 @@ class TestImportContract:
     def test_no_dataclasses_cone_or_selftest(self, argv):
         code, modules = loaded_modules(*argv)
         assert code == 0
-        assert not modules & {"dataclasses", "fusscat.cone", "fusscat.selftest"}
+        assert not modules & {"dataclasses", "inspect", "fusscat.cone", "fusscat.selftest"}
 
     def test_cone_verify_loads_no_canonical(self):
         code, modules = loaded_modules("cone-verify", "--u", "3,3,3", "--r", "2,2,2")
         assert code == 0
         assert "fusscat.cone" in modules
         assert not modules & {"dataclasses", "inspect", "fusscat.canonical", "fusscat.selftest"}
+
+    def test_selftest_loads_no_dataclasses(self):
+        code, modules = loaded_modules("selftest")
+        assert code == 0
+        assert "fusscat.selftest" in modules
+        assert not modules & {"dataclasses", "inspect"}
 
     def test_validation_error_loads_no_library_module(self):
         code, modules = loaded_modules("canonical", "--n", "3", "--t", "1")
@@ -384,7 +390,7 @@ class TestJsonEmitter:
                 assert out == json.dumps(json.loads(out), indent=2) + "\n"
                 doc = json.loads(out)
                 P = stair(StairSpec(u, r))
-                assert doc["cells"] == [list(c) for c in sorted(P.cells)]
+                assert doc["cells"] == [list(c) for c in sorted(P)]
                 assert doc["convex"] is is_convex(P)
                 assert doc["render"] == render_ascii(P)
                 # without --render, no polyomino is built

@@ -76,7 +76,7 @@ class TestMatrix:
         m = Matrix.from_rows(rows)
         assert (m.rows, m.cols) == (2, 3)
         assert m.row(1) == (4, 5, 6)
-        assert m.row_lists() == rows
+        assert [list(m.row(i)) for i in range(m.rows)] == rows
         assert Matrix.from_rows(zip(*rows)).row(2) == (3, 6)
 
 

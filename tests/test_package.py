@@ -130,7 +130,7 @@ class TestValueTypes:
     def test_inputs_are_stored_as_tuples(self):
         assert StairSpec([1, 2], [3, 4]) == StairSpec((1, 2), (3, 4))
         assert HeightBounds([2], [0]).a == (2,)
-        assert Polyomino([[1, 1], [1, 2]]).cells == {(1, 1), (1, 2)}
+        assert Polyomino([[1, 1], [1, 2]]) == {(1, 1), (1, 2)}
 
     @pytest.mark.parametrize("make,message", [
         (lambda: StairSpec((1, 2), (1,)), "u and r must be nonempty lists of equal length"),

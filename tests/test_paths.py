@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fusscat.caps import SearchCapExceeded
-from fusscat.exactmat import binomial, det_exact
+from fusscat.exactmat import Matrix, binomial, det_exact
 from fusscat.paths import (
     HeightBounds,
     _columns,
@@ -79,8 +79,7 @@ class TestCounters:
         # With the generalized binomial for negative upper index the
         # (1,2) entry of this matrix would be 3 instead of 0 and the
         # determinant would come out 0 instead of the true count.
-        m = path_count_matrix(HeightBounds((0, 5), (0, 3)))
-        assert m.row(0) == (1, 0)
+        assert path_count_matrix(HeightBounds((0, 5), (0, 3)))[0] == (1, 0)
         assert (
             count_paths_det(HeightBounds((0, 5), (0, 3)))
             == len(enumerate_height_sequences(HeightBounds((0, 5), (0, 3))))
@@ -145,9 +144,12 @@ class TestAgreementProperties:
     def test_matrix_is_hessenberg_with_unit_subdiagonal(self, bounds):
         # the precondition of count_paths_det's leading-minor recurrence
         m = path_count_matrix(bounds)
-        for i in range(1, m.rows):
-            assert m.row(i)[: i - 1] == (0,) * (i - 1)
-            assert m.row(i)[i - 1] == 1
+        assert type(m) is tuple and len(m) == bounds.n
+        assert all(type(row) is tuple and len(row) == bounds.n
+                   and set(map(type, row)) == {int} for row in m)
+        for i in range(1, bounds.n):
+            assert m[i][: i - 1] == (0,) * (i - 1)
+            assert m[i][i - 1] == 1
 
     # path-matrix orders p*t of 30 to 90 at n = 40..80, the sizes the
     # bracket queries reach
@@ -157,7 +159,8 @@ class TestAgreementProperties:
     def test_det_routes_agree_at_large_order(self, n, t, p):
         bounds = staircase_bounds(n, t, p)
         count = count_paths_det(bounds)
-        assert count == det_exact(path_count_matrix(bounds)) == count_paths_dp(bounds)
+        dense = det_exact(Matrix.from_rows(path_count_matrix(bounds)))
+        assert count == dense == count_paths_dp(bounds)
         # a in p runs of t and b level: every column after the first is a
         # shift plus one step per run start
         a = bounds.a
@@ -234,6 +237,18 @@ def walk_args(draw):
 
 
 class TestCompositionWalk:
+    @pytest.mark.parametrize("args", [
+        (0, 2, -1, None, None),
+        (1, 3, -1, {1: 0}, None),
+    ])
+    def test_negative_minimum_is_refused(self, args):
+        # the walk floors every prefix sum at 0: (0, 2, -1) would list only
+        # (0, 0), without (-1, 1) and (1, -1)
+        with pytest.raises(ValueError, match="minimum must be >= 0"):
+            list(iter_bounded_compositions(*args))
+        with pytest.raises(ValueError, match="minimum must be >= 0"):
+            count_bounded_compositions(*args)
+
     @settings(max_examples=300, deadline=None)
     @given(walk_args())
     @example((0, 0, 0, None, None))

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from fusscat import polyomino
 from fusscat.polyomino import (
     InnerInterval,
     Polyomino,
@@ -16,6 +17,7 @@ from fusscat.polyomino import (
     stair,
     vertex_set,
 )
+from fusscat.selftest import check_inner_minor_identity
 
 from conftest import stair_specs
 
@@ -43,7 +45,7 @@ class TestStairConstruction:
 
     def test_single_cell(self):
         P = stair(StairSpec((1,), (1,)))
-        assert P.cells == {(1, 1)}
+        assert P == {(1, 1)}
         assert vertex_set(P) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
     def test_cell_count_formula(self):
@@ -61,7 +63,7 @@ class TestStairConstruction:
     @given(stair_specs(max_p=4, max_entry=4))
     def test_cells_are_sorted_and_follow_the_step_rule(self, spec):
         cells = list(spec.cells())
-        assert cells == sorted(stair(spec).cells)
+        assert cells == sorted(stair(spec))
         # step t occupies columns B_(t-1) .. B_t - 1, each of height A_t - 1
         heights, breaks = spec.heights(), spec.breaks()
         assert set(cells) == {(x, y) for t in range(spec.p)
@@ -138,12 +140,35 @@ class TestInnerIntervals:
             assert iv.d == (iv.b[0], iv.a[1])
             for x in range(iv.a[0], iv.b[0]):
                 for y in range(iv.a[1], iv.b[1]):
-                    assert (x, y) in P.cells
+                    assert (x, y) in P
 
     def test_u_shape_excludes_broken_rectangle(self):
         pairs = {(iv.a, iv.b) for iv in inner_intervals(U_SHAPE)}
         assert ((1, 1), (4, 2)) not in pairs
         assert ((1, 2), (4, 3)) in pairs
+
+
+def every_vertex_pair(P):
+    verts = vertex_set(P)
+    return [InnerInterval(a, b, (a[0], b[1]), (b[0], a[1]))
+            for a in verts for b in verts if a[0] < b[0] and a[1] < b[1]]
+
+
+class TestInnerMinorCriterion:
+    def test_passes_on_the_true_intervals(self):
+        assert check_inner_minor_identity(p_max=2, entry_max=2)[0]
+
+    # vec(a) + vec(b) == vec(c) + vec(d) holds on any rectangle, so each
+    # wrong list must be caught by the count or by the top-left cell
+    @pytest.mark.parametrize("wrong", [
+        lambda P: [],
+        every_vertex_pair,
+        lambda P: every_vertex_pair(P)[: len(inner_intervals(P))],
+    ], ids=["none", "every-vertex-pair", "vertex-pairs-at-the-true-count"])
+    def test_wrong_intervals_fail(self, monkeypatch, wrong):
+        monkeypatch.setattr(polyomino, "inner_intervals", wrong)
+        passed, detail = check_inner_minor_identity(p_max=2, entry_max=2)
+        assert not passed, detail
 
 
 class TestKrullDim:
