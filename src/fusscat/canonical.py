@@ -17,17 +17,26 @@ canonical generators of lowest degree, and the uniform ring is level
 (its closed-form generators share one degree), so h_s is its type: a
 DP over the vertices, independent of the bracket's other routes.
 
-The general search and the Hilbert function work on any staircase,
-uniform or not. They take its StairSpec (u, r) and build neither the
-polyomino nor its cone: the Hilbert function is one DP table over the
-pair of x- and y-prefix sums, and the search keeps a point by a rule on
-the staircase's blocks and its tight steps.
+The Hilbert data of any staircase, uniform or not, comes by one of two
+routes, read off its StairSpec (u, r) with no polyomino or cone built.
+The turn-count route counts the paths by their turns, all h_k at once,
+with each vertex's polynomial packed into one int (h_vector), and sums
+H(d) = sum_k h_k * binom(d - k + dim - 1, dim - 1). The lattice-point
+route fills one DP table over the pair of x- and y-prefix sums.
+hilbert_function and hilbert_numerator take the route with the smaller
+cost estimate, which is also the one compared against the cap: the
+turn-count route's grows with the vertex count times min(s, D) + 1 and
+with the length of its numbers, the table's with (D + 1)^2, so the
+table wins only at low degree on large staircases. top_turn_count
+keeps the top coefficient alone, in O(|V|) work on small ints. The
+general search keeps a relative-interior point by a rule on the
+staircase's blocks and its tight steps.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, mul
 
 from .brackets import check_enum, validate_triple
@@ -71,8 +80,9 @@ def stair_generators(n: int, t: int, p: int,
     check_enum(n, t, p, max_volume)
     y_len = p * n + 1
     upper = {k * t: k * n for k in range(1, p)}
-    return [CanonicalGenerator(alpha, y_len)
-            for alpha in iter_bounded_compositions(p * n + 1, p * t + 1, 1, upper)]
+    alphas = iter_bounded_compositions(p * n + 1, p * t + 1, 1, upper)
+    # tuple.__new__ builds each named tuple at C speed
+    return list(map(tuple.__new__, repeat(CanonicalGenerator), zip(alphas, repeat(y_len))))
 
 
 def cm_type_stair(n: int, t: int, p: int, max_volume: int | None = None) -> int:
@@ -198,25 +208,112 @@ def minimal_generators_search(spec: StairSpec, degree_max: int,
     return sorted(found)
 
 
+def h_vector(spec: StairSpec, degree_max: int | None = None,
+             max_volume: int | None = None) -> list[int]:
+    """[h_0, ..., h_s], the coefficients of the Hilbert series numerator,
+    or only h_0 .. h_min(s, degree_max): h_k counts the lattice paths
+    through the vertex set with k NE turns (see top_turn_count). Refused
+    when the vertex count times the number of coefficients exceeds the
+    cap."""
+    s = spec.top_degree()
+    if degree_max is not None:
+        _check_degree(degree_max)
+        s = min(s, degree_max)
+    check_volume(spec.vertex_count() * (s + 1), max_volume, what="ladder turn-count DP")
+    return _turn_polynomial(spec, s)
+
+
+def _turn_polynomial(spec: StairSpec, degree_max: int) -> list[int]:
+    """h_0 .. h_degree_max by one DP over the vertex columns.
+
+    Column x keeps, per height y, the turn polynomial T(x, y) of the
+    paths from (1, 1) to (x, y), as one int: the coefficient of t^k sits
+    in the k-th slot of w bits. A path to (x, y) enters column x by one E
+    step from some (x - 1, y'), y' <= y up to the previous column's top,
+    and then goes straight up, which adds no turn. That E step is a turn
+    when the path to (x - 1, y') ends with N, that is, when it is a path
+    to (x - 1, y' - 1) plus one N step. The paths that do not turn there
+    telescope over y', so
+    T(x, y) = T(x - 1, y) + t * (T(x - 1, 1) + ... + T(x - 1, y - 1)),
+    and above the previous column's top T(x, y) stays at its last value.
+    """
+    m, n = spec.ambient_box()
+    # no path count exceeds binom(m + n - 2, m - 1), so no slot carries
+    # into the next
+    w = binomial(m + n - 2, m - 1).bit_length() + 1
+    # a shift by w multiplies by t; the mask drops the slots past degree_max
+    mask = (1 << w * (degree_max + 1)) - 1
+    # a column 0 that holds just the start, the empty path
+    T = [1]
+    for top in spec.column_tops():
+        T = [v + (below << w & mask) for v, below in zip(T, accumulate(T, initial=0))]
+        T += [T[-1]] * (top - len(T))
+    slot = (1 << w) - 1
+    return [T[-1] >> w * k & slot for k in range(degree_max + 1)]
+
+
+def _check_degree(degree_max: int):
+    if degree_max < 0:
+        raise ValueError(f"degree must be >= 0, got {degree_max}")
+
+
+def _hilbert_route(spec: StairSpec, degree_max: int, max_volume: int | None) -> int | None:
+    """Pick the cheaper way to the Hilbert data up to degree_max, and
+    refuse it when its estimate exceeds the cap. Returns min(s,
+    degree_max), the degree to which the turn-count DP is to compute h,
+    or None when the (X, Y) table is cheaper.
+
+    The DP costs |V| additions per coefficient, and H(d) then takes
+    min(s, d) + 1 products each. Those act on numbers up to H(D) <=
+    binom(D + dim - 1, dim - 1) * (number of paths) < 2^(D + 2 dim - 2),
+    so each step counts as (D + 2 dim) // 64 + 1 words of 64 bits: for
+    large D the output itself is what grows. The table costs
+    (B_p + A_p) * (D + 1)^2 cell updates. The DP wins unless D is small
+    against s and |V|, as on a large rectangle at degree 1.
+    """
+    _check_degree(degree_max)
+    top = min(spec.top_degree(), degree_max)
+    words = (degree_max + 2 * spec.krull_dim()) // 64 + 1
+    turns = (spec.vertex_count() + degree_max) * (top + 1) * words
+    table = sum(spec.ambient_box()) * (degree_max + 1) ** 2
+    if turns <= table:
+        check_volume(turns, max_volume, what="Hilbert turn-count DP")
+        return top
+    check_volume(table, max_volume, what="Hilbert-function lattice point count")
+    return None
+
+
 def hilbert_function(spec: StairSpec, degree_max: int,
                      max_volume: int | None = None) -> list[int]:
     """[H(0), ..., H(degree_max)]: the number of degree-d monomials of the
-    staircase ring for each d up to degree_max.
-
-    Counts integer points of the exponent cone by x-part degree with a DP
-    over the pair (X, Y) of x- and y-prefix sums: each coordinate is a
-    running sum along its axis, and after each block of coordinates up to
-    a step checkpoint the cells breaking Y >= X are zeroed. Every update
-    moves counts to a larger X or Y only, so the one (degree_max + 1)^2
-    table holds each H(d) in its diagonal cell (d, d).
+    staircase ring for each d up to degree_max, by the cheaper of two
+    routes (_hilbert_route). The turn-count route sums
+    H(d) = sum_k h_k * binom(d - k + dim - 1, dim - 1) over k <= min(s, d).
     """
-    if degree_max < 0:
-        raise ValueError(f"degree must be >= 0, got {degree_max}")
+    top = _hilbert_route(spec, degree_max, max_volume)
+    if top is None:
+        return _hilbert_table(spec, degree_max)
+    h = _turn_polynomial(spec, top)
+    dim = spec.krull_dim()
+    # binom(j + dim - 1, dim - 1) for j = 0..degree_max, the coefficients
+    # of 1 / (1 - t)^dim
+    series = list(accumulate(range(1, degree_max + 1),
+                             lambda c, j: c * (j + dim - 1) // j, initial=1))
+    return _times_series(h, series)
+
+
+def _hilbert_table(spec: StairSpec, degree_max: int) -> list[int]:
+    """[H(0), ..., H(degree_max)] by counting the integer points of the
+    exponent cone by x-part degree, with no cap.
+
+    A DP over the pair (X, Y) of x- and y-prefix sums: each coordinate is
+    a running sum along its axis, and after each block of coordinates up
+    to a step checkpoint the cells breaking Y >= X are zeroed. Every
+    update moves counts to a larger X or Y only, so the one
+    (degree_max + 1)^2 table holds each H(d) in its diagonal cell (d, d).
+    """
     m, ny = spec.ambient_box()
     size = degree_max + 1
-    check_volume((m + ny) * size ** 2, max_volume,
-                 what="Hilbert-function lattice point count")
-
     # ways[X][Y] = number of (x-prefix, y-prefix) pairs with these sums
     ways = [[1] + [0] * degree_max] + [[0] * size for _ in range(degree_max)]
     xlen = ylen = 0
@@ -234,9 +331,12 @@ def hilbert_function(spec: StairSpec, degree_max: int,
 def hilbert_numerator(spec: StairSpec, degree_max: int,
                       max_volume: int | None = None) -> list[int]:
     """Coefficients h_0..h_{degree_max} of the Hilbert series numerator,
-    i.e. of (sum_d H(d) t^d) * (1 - t)^dim truncated at degree_max."""
-    return numerator_from_hilbert(hilbert_function(spec, degree_max, max_volume),
-                                  spec.krull_dim())
+    i.e. of (sum_d H(d) t^d) * (1 - t)^dim truncated at degree_max, by the
+    cheaper of the routes of hilbert_function."""
+    top = _hilbert_route(spec, degree_max, max_volume)
+    if top is None:
+        return numerator_from_hilbert(_hilbert_table(spec, degree_max), spec.krull_dim())
+    return _turn_polynomial(spec, top) + [0] * (degree_max - top)
 
 
 def numerator_from_hilbert(H: list[int], dim: int) -> list[int]:
@@ -244,4 +344,14 @@ def numerator_from_hilbert(H: list[int], dim: int) -> list[int]:
     len(H) - 1, from the Hilbert function values H[0..]."""
     # the coefficients of (1 - t)^dim that reach degree len(H) - 1
     signed = [(-1) ** j * binomial(dim, j) for j in range(min(dim + 1, len(H)))]
-    return [sum(map(mul, signed, H[k::-1])) for k in range(len(H))]
+    return _times_series(signed, H)
+
+
+def _times_series(poly: list[int], series: list[int]) -> list[int]:
+    """The product of the polynomial poly and the power series series,
+    truncated at degree len(series) - 1: one pass over series per
+    coefficient of poly, so the cost grows linearly with len(series)."""
+    out = [0] * len(series)
+    for j, c in enumerate(poly):
+        out[j:] = map(add, out[j:], map(mul, repeat(c), series))
+    return out

@@ -111,6 +111,18 @@ class StairSpec(namedtuple("StairSpec", "u r")):
         m, n = self.ambient_box()
         return m + n - 1
 
+    def top_degree(self) -> int:
+        """s, the degree of the Hilbert numerator: the most NE turns of a
+        lattice path through the vertex set, in O(p).
+
+        A turn is an N step followed by an E step. At most B_p - B_k
+        turns end with an E step into a column right of B_k, and each of
+        the others has its own N step in a column left of B_k, where the
+        tops are at most A_k: so s <= (B_p - B_k) + (A_k - 1) for each
+        k = 0..p, with B_0 = A_0 = 1. The least of these bounds is s."""
+        B = self.breaks()
+        return min(B[-1] - b + A - 1 for b, A in zip(B, (1, *self.heights())))
+
     def vertex_count(self) -> int:
         """Number of vertices of the staircase: a column B_(k-1) .. B_k - 1
         holds A_k of them, and the last column B_p holds A_p."""

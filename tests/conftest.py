@@ -1,12 +1,18 @@
 """Shared test oracles, all independent of the library's own algorithms,
-and a guard that makes building a staircase polyomino or cone fail."""
+a guard that makes building a staircase polyomino or cone fail, and a
+probe that runs the CLI in a fresh interpreter."""
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 
+import fusscat
 from fusscat.cone import stair_cone
 from fusscat.paths import HeightBounds
 from fusscat.polyomino import StairSpec, stair
@@ -138,3 +144,38 @@ def forbid_calls(monkeypatch, *functions):
 def forbid_stair_builds(monkeypatch):
     """Make `stair` and `stair_cone` raise, for the rest of the test."""
     forbid_calls(monkeypatch, stair, stair_cone)
+
+
+# Runs main(argv) in a fresh interpreter and prints, one a line, the
+# modules that the import of fusscat.cli and the run loaded.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from fusscat.cli import main
+code = main(sys.argv[1:])
+print("exit", code)
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def run_probe(*argv) -> tuple[int, str, set[str]]:
+    """main(argv) in a fresh interpreter: its exit code, what it wrote to
+    stdout, and the modules that the import of fusscat.cli and the run
+    loaded."""
+    src = str(Path(fusscat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # main's own output comes first, then the exit line and the modules
+    out, _, tail = ("\n" + proc.stdout).rpartition("\nexit ")
+    code, *modules = tail.splitlines()
+    return int(code), out, set(modules)
+
+
+@pytest.fixture(scope="session")
+def selftest_probe():
+    """One `fusscat selftest` run through the probe, shared by criterion 12
+    and the import contract, so the suite runs the whole selftest once."""
+    return run_probe("selftest")

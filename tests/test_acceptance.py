@@ -63,11 +63,8 @@ for _number, _, _check in selftest.CHECKS:
         _number, _check, _budget, _kwargs)
 
 
-def test_criterion_12_cli_selftest(capsys):
-    from fusscat.cli import main
-
-    code = main(["selftest"])
-    out = capsys.readouterr().out
+def test_criterion_12_cli_selftest(selftest_probe):
+    code, out, _ = selftest_probe
     print("ACCEPTANCE criterion 12: " + ("PASS" if code == 0 else "FAIL"),
           flush=True)
     assert code == 0

@@ -13,7 +13,9 @@ from conftest import compositions, forbid_stair_builds, ladder_paths, stair_spec
 from fusscat.brackets import enum_volume, enumerate_A, gfc
 from fusscat.canonical import (
     CanonicalGenerator,
+    _hilbert_table,
     cm_type_stair,
+    h_vector,
     hilbert_function,
     hilbert_numerator,
     minimal_generators_search,
@@ -25,7 +27,7 @@ from fusscat.caps import SearchCapExceeded
 from fusscat.cone import contains, edge_vector, in_relint, stair_cone
 from fusscat.exactmat import binomial
 from fusscat.polyomino import StairSpec, krull_dim, parse_stair_spec, stair, vertex_set
-from fusscat.selftest import load_generator_golden
+from fusscat.selftest import iter_stair_specs, load_generator_golden
 
 GOLDEN_MIXED = Path(__file__).resolve().parent.parent / "bench" / "golden_mixed.json"
 
@@ -312,18 +314,34 @@ class TestHilbert:
             binomial(e + m - 1, m - 1) * binomial(e + ny - 1, ny - 1)
             for e in range(d + 1)]
 
-    def test_numerator_reads_one_table(self, monkeypatch):
+    def test_each_request_runs_the_cheaper_route(self, monkeypatch):
         from fusscat import canonical
 
         calls = []
 
-        def counting(spec, degree_max, max_volume=None):
-            calls.append(degree_max)
-            return hilbert_function(spec, degree_max, max_volume)
+        def counting(name):
+            route = getattr(canonical, name)
 
-        monkeypatch.setattr(canonical, "hilbert_function", counting)
+            def run(*args):
+                calls.append(name)
+                return route(*args)
+
+            monkeypatch.setattr(canonical, name, run)
+
+        counting("_turn_polynomial")
+        counting("_hilbert_table")
+        # P2 at degree 6: (52 + 6) * 7 = 406 turn-count steps on one-word
+        # numbers against (7 + 10) * 7^2 = 833 table cells
         assert hilbert_numerator(P2, 6) == [1, 36, 318, 960, 1071, 444, 55]
-        assert calls == [6]
+        assert hilbert_function(P2, 6)[1] == 52
+        assert calls == ["_turn_polynomial"] * 2
+        # the 1500 x 1500 rectangle at degree 1: 1501^2 vertices times two
+        # coefficients of 94 words against (1501 + 1501) * 2^2 table cells
+        calls.clear()
+        rectangle = StairSpec((1500,), (1500,))
+        assert hilbert_numerator(rectangle, 1) == [1, 1500 * 1500]
+        assert hilbert_function(rectangle, 1) == [1, 1501 * 1501]
+        assert calls == ["_hilbert_table"] * 2
 
     def test_numerator_builds_no_polyomino(self, monkeypatch):
         forbid_stair_builds(monkeypatch)
@@ -333,13 +351,84 @@ class TestHilbert:
         assert hilbert_numerator(StairSpec((1500,), (1500,)), 1) == [1, 1500 * 1500]
 
     def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            hilbert_function(P1, -1)
+        for route in (hilbert_function, hilbert_numerator, h_vector):
+            with pytest.raises(ValueError):
+                route(P1, -1)
 
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
             hilbert_function(P2, 6, max_volume=3)
-        # the numerator is refused on its one table to degree 6, (B_p + A_p) * 7^2
+        # refused on the smaller estimate, the turn-count route's
+        # (|V| + 6) * 7 = 406 below the table's (B_p + A_p) * 7^2 = 833
+        for route in (hilbert_function, hilbert_numerator):
+            with pytest.raises(SearchCapExceeded) as refused:
+                route(P2, 6, max_volume=405)
+            assert refused.value.estimate == (52 + 6) * 7
+            assert route(P2, 6, max_volume=406) == route(P2, 6)
+        # and on the table's when that is the smaller one
+        rectangle = StairSpec((1500,), (1500,))
         with pytest.raises(SearchCapExceeded) as refused:
-            hilbert_numerator(P2, 6, max_volume=500)
-        assert refused.value.estimate == (7 + 10) * 7 ** 2
+            hilbert_numerator(rectangle, 1, max_volume=12007)
+        assert refused.value.estimate == (1501 + 1501) * 2 ** 2
+        assert hilbert_numerator(rectangle, 1, max_volume=12008) == [1, 1500 * 1500]
+
+
+@lru_cache(maxsize=None)
+def census_h_vectors():
+    """h_vector of every staircase with p <= 4 and entries <= 3."""
+    return {spec: h_vector(spec) for spec in iter_stair_specs(4, 3)}
+
+
+class TestHVector:
+    def test_reference_h_vectors(self):
+        assert h_vector(P1) == [1, 18, 66, 55]
+        assert h_vector(P2) == [1, 36, 318, 960, 1071, 444, 55]
+        assert h_vector(P2, 3) == [1, 36, 318, 960]
+        assert h_vector(SINGLE) == [1, 1]
+
+    def test_census_length_and_top_coefficient(self):
+        census = census_h_vectors()
+        assert len(census) == 7380
+        for spec, h in census.items():
+            s, top = top_turn_count(spec)
+            assert spec.top_degree() == s == len(h) - 1, spec
+            assert h[-1] == top, spec
+
+    def test_census_gorenstein_iff_symmetric(self):
+        # a Hibi ring is Gorenstein iff its h-vector is a palindrome
+        # (Stanley; Hibi), which on a staircase is u == r
+        census = census_h_vectors()
+        palindromes = {spec for spec, h in census.items() if h == h[::-1]}
+        assert palindromes == {spec for spec in census if spec.u == spec.r}
+        assert len(palindromes) == 120
+
+    def test_census_matches_table_to_degree_8(self):
+        for spec, h in census_h_vectors().items():
+            want = numerator_from_hilbert(_hilbert_table(spec, 8), spec.krull_dim())
+            assert h_vector(spec, 8) == want[:len(h)], spec
+            assert want[len(h):] == [0] * (9 - len(h)), spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(stair_specs(max_p=5, max_entry=6), st.integers(0, 30))
+    def test_routes_agree(self, spec, d):
+        table = _hilbert_table(spec, d)
+        h = h_vector(spec, d)
+        full = h_vector(spec)
+        assert h == full[:d + 1]
+        assert (len(full) - 1, full[-1]) == top_turn_count(spec)
+        assert h + [0] * (d + 1 - len(h)) == numerator_from_hilbert(table, spec.krull_dim())
+        assert hilbert_function(spec, d, max_volume=10 ** 9) == table
+        assert hilbert_numerator(spec, d, max_volume=10 ** 9) == h + [0] * (d + 1 - len(h))
+
+    def test_matches_path_listing(self):
+        for spec in SMALL_SPECS:
+            turns = Counter(w.count("NE") for w in ladder_paths(vertex_set(stair(spec))))
+            assert h_vector(spec) == [turns[k] for k in range(max(turns) + 1)], spec
+
+    def test_cap_counts_vertices_per_coefficient(self):
+        # P2 has 52 vertices and s = 6
+        assert h_vector(P2, 3, max_volume=52 * 4) == [1, 36, 318, 960]
+        for degree_max, estimate in ((None, 52 * 7), (3, 52 * 4), (9, 52 * 7)):
+            with pytest.raises(SearchCapExceeded) as refused:
+                h_vector(P2, degree_max, max_volume=estimate - 1)
+            assert refused.value.estimate == estimate

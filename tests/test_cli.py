@@ -1,16 +1,11 @@
 import json
-import os
-import subprocess
-import sys
 from itertools import product
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import fusscat
-from conftest import forbid_calls, forbid_stair_builds
+from conftest import forbid_calls, forbid_stair_builds, run_probe
 from fusscat import brackets, canonical
 from fusscat.cli import json_text, main
 from fusscat.polyomino import Polyomino, StairSpec, is_convex, render_ascii, stair
@@ -167,6 +162,15 @@ class TestHilbertCommand:
         assert doc["numerator"] == [1, 18, 66, 55]
         assert calls == [3]
 
+    @pytest.mark.parametrize("u,r,dmax", [
+        ("3,3,3", "1,1,1", 7), ("2,1", "1,2", 9), ("1", "5", 4), ("4,1,3", "2,2,1", 12)])
+    def test_numerator_past_top_degree(self, capsys, u, r, dmax):
+        # only H(0) .. H(s) enter the numerator; the rest of it is zeros
+        doc = run_json(capsys, "hilbert", "--u", u, "--r", r, "--dmax", str(dmax))
+        H = [int(v) for v in doc["hilbert_function"]]
+        assert doc["numerator"] == canonical.numerator_from_hilbert(H, doc["dimension"])
+        assert doc["numerator"][-1] == 0
+
     def test_builds_no_polyomino(self, capsys, monkeypatch):
         forbid_stair_builds(monkeypatch)
         doc = run_json(capsys, "hilbert", "--u", "3,3,3", "--r", "1,1,1",
@@ -228,8 +232,11 @@ class TestExitCodes:
         # 3163 * 3162 = 10,001,406 vertices; enum (3162 compositions of
         # 3162 entries), dp and det would answer first
         (("gfc", "--n", "3162", "--t", "3161", "--p", "1"), "ladder turn-count DP"),
+        # 24,002 * 2 turn-count steps on numbers of up to 24,006 bits (376
+        # words), and 2003 * 20,001^2 table cells
+        (("hilbert", "--u", "1", "--r", "2000", "--dmax", "20000"), "volume 18049504 "),
     ], ids=["cone-verify-200", "cone-verify-100", "cone-verify-cap", "polyomino-1500",
-            "gfc-all-canonical"])
+            "gfc-all-canonical", "hilbert-long-output"])
     def test_refused_before_building(self, capsys, argv, fragment):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -301,29 +308,9 @@ class TestOutputDiscipline:
         assert out
 
 
-# Runs main(argv) in a fresh interpreter and prints, one a line, the
-# modules that the import of fusscat.cli and the run loaded.
-IMPORT_PROBE = """
-import sys
-before = set(sys.modules)
-from fusscat.cli import main
-code = main(sys.argv[1:])
-print("exit", code)
-print("\\n".join(sorted(set(sys.modules) - before)))
-"""
-
-
 def loaded_modules(*argv) -> tuple[int, set[str]]:
-    src = str(Path(fusscat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    # main's own output comes first, then the exit line and the modules
-    tail = ("\n" + proc.stdout).rpartition("\nexit ")[2]
-    code, *modules = tail.splitlines()
-    return int(code), set(modules)
+    code, _, modules = run_probe(*argv)
+    return code, modules
 
 
 class TestImportContract:
@@ -350,8 +337,8 @@ class TestImportContract:
         assert "fusscat.cone" in modules
         assert not modules & {"dataclasses", "inspect", "fusscat.canonical", "fusscat.selftest"}
 
-    def test_selftest_loads_no_dataclasses(self):
-        code, modules = loaded_modules("selftest")
+    def test_selftest_loads_no_dataclasses(self, selftest_probe):
+        code, _, modules = selftest_probe
         assert code == 0
         assert "fusscat.selftest" in modules
         assert not modules & {"dataclasses", "inspect"}
