@@ -13,9 +13,9 @@ algorithms), so their agreement is a check: they must always agree, and
 
 The composition entries are nonnegative. Enumeration order is
 lexicographic and deterministic so listings can be diffed. The enum
-route lists no composition: it walks the same prefix-sum tree as the
-listing, whose nodes each fix every prefix sum but the last free one,
-and adds up the length of the range that one runs over
+route lists no composition: it walks the listing's prefix-sum tree one
+level less deep, with nodes that fix every prefix sum but the last two
+free ones, and counts the pairs of values those two take in closed form
 (paths.count_bounded_compositions), under the listing's cap.
 """
 

@@ -162,7 +162,7 @@ def _run_polyomino(args) -> dict:
         "inner_interval_count": spec.inner_interval_count(),
     }
     if args.render:
-        out["render"] = polyomino.render_ascii(polyomino.stair(spec))
+        out["render"] = spec.render()
     return out
 
 

@@ -3,15 +3,19 @@
 A path from (0, b_1) to (n, a_n) built from unit horizontal and vertical
 steps is determined by the heights y_1 <= ... <= y_n of its horizontal
 steps, so everything here works on weakly increasing integer sequences
-with b_i <= y_i <= a_i. Three routes are provided: a dynamic program
-that builds each row of prefix counts with one accumulate and is capped
-on its n * (a_n - b_1 + 1) cells; the binomial determinant identity, by
-the leading-minor recurrence of its Hessenberg matrix, reading only the
-entries on and above the subdiagonal and building no matrix, each
-column the last one shifted down a row while b stays level, with one
-binomial step per run of equal a; and, for
-small instances, exhaustive enumeration on the package's one composition
-walker, _walk.
+with b_i <= y_i <= a_i. A level run is a stretch of rows with equal a_i
+and equal b_i; inside one, nothing constrains the heights but their
+order, so their counts are binomials. Three routes are provided: a
+dynamic program that builds each row of prefix counts with one
+accumulate, writes the row that ends the first level run in closed form
+and folds the last level run into one weighted sum, capped on its
+n * (a_n - b_1 + 1) cells; the binomial determinant identity, by the
+leading-minor recurrence of its Hessenberg matrix from the end of the
+first level run on, reading only the entries on and above the
+subdiagonal and building no matrix, each column the last one shifted
+down a row while b stays level, with one binomial step per run of equal
+a; and, for small instances, exhaustive enumeration on the package's one
+composition walker, _walk.
 
 _walk visits the internal nodes of the prefix-sum tree of the bounded
 compositions. A node is a fixed prefix of prefix sums plus the range
@@ -19,7 +23,8 @@ first..top that the last free prefix sum runs over, so each node stands
 for top - first + 1 compositions. Three views read the nodes:
 iter_bounded_compositions lists one tuple per value of the range (the
 bracket's compositions, the canonical-module generators and the search's
-lattice points), count_bounded_compositions adds up the range lengths
+lattice points), count_bounded_compositions walks one level less deep
+and counts the last two free prefix sums in closed form per node,
 without building a tuple (the bracket's enum route), and
 iter_height_sequences reads the heights off the prefix sums.
 """
@@ -27,7 +32,7 @@ iter_height_sequences reads the heights off the prefix sums.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import gt, lt, mul
 
 from .caps import check_volume
@@ -82,7 +87,7 @@ def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:
     a'_i = ceil(i/(n-t))*t of length p*(n-t).
     """
     validate_triple(n, t, p)
-    a = tuple(-(-i // t) * (n - t) for i in range(1, p * t + 1))
+    a = tuple(chain.from_iterable(repeat(k * (n - t), t) for k in range(1, p + 1)))
     return HeightBounds(a, (0,) * (p * t))
 
 
@@ -93,25 +98,57 @@ def check_dp(bounds: HeightBounds, max_volume: int | None = None):
                  what="path-count DP (--method det has no cap)")
 
 
+def _first_run(a, b) -> int:
+    """r, the length of the first level run: a_i = a_0 and b_i = b_0 for
+    every row i < r."""
+    r = 1
+    while r < len(a) and a[r] == a[0] and b[r] == b[0]:
+        r += 1
+    return r
+
+
 def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     """Number of admissible height sequences, by prefix-sum DP; refused
-    when its n * (a_n - b_1 + 1) cells exceed the cap."""
+    when its n * (a_n - b_1 + 1) cells exceed the cap.
+
+    Only the rows between the first and the last level run (a run of rows
+    with equal a_i and equal b_i) are added cell by cell. After the r rows
+    of the first run, a prefix ends at height lo + h in binom(h + r - 1,
+    r - 1) ways, lo = b_1. After row s (0-based), the one that starts the
+    last run, the k = n - 1 - s heights left rise from that row's height
+    y to at most a_n under no other bound: binom(a_n - y + k, k) ways. On
+    staircase bounds, a in p runs of t and b level, that leaves the rows
+    of the p - 2 middle runs.
+    """
     check_dp(bounds, max_volume)
     a, b = bounds.a, bounds.b
+    n = bounds.n
     lo = b[0]
-    # row[h - lo]: admissible prefixes y_1..y_i ending at height h <= a_i
-    row = [1] * (a[0] - lo + 1)
-    for i in range(1, bounds.n):
+    r = _first_run(a, b)
+    s = n - 1
+    while s >= r and a[s - 1] == a[-1] and b[s - 1] == b[-1]:
+        s -= 1
+    # row[h]: admissible prefixes y_1..y_i ending at height lo + h <= a_i,
+    # first for i = r
+    row = [1]
+    for h in range(1, a[0] - lo + 1):
+        row.append(row[-1] * (h + r - 1) // h)
+    for i in range(r, s + 1):
         # y_i >= y_(i-1): prefix sums of the old row, then its total for
         # the heights above a_(i-1), then zero below b_i
         row = list(accumulate(row))
         row += [row[-1]] * (a[i] - a[i - 1])
         row[: b[i] - lo] = [0] * (b[i] - lo)
-    return sum(row)
+    k = n - 1 - s
+    # weight[m] = binom(m + k, k) for the prefix at m below a_n
+    weight = [1]
+    for m in range(1, len(row)):
+        weight.append(weight[-1] * (m + k) // m)
+    return sum(map(mul, reversed(row), weight))
 
 
-def _columns(a, b):
-    """Yield rows 0..k of each column k of the path matrix
+def _columns(a, b, first: int = 0):
+    """Yield rows 0..k of each column k >= first of the path matrix
     binom(a_i - b_k + 1, k - i + 1).
 
     The matrix repeats down its diagonals: where a_i == a_(i-1) and
@@ -124,11 +161,21 @@ def _columns(a, b):
     stays zero under both moves, so this keeps the zero convention. On
     staircase bounds a has p runs, so a column costs one list shift and
     at most p steps. Only the first column, and a column where b changes,
-    call binomial.
+    call binomial. A first column past 0 must lie in the first level run
+    (a_i = a_0 and b_i = b_0 for i < first); the column before it,
+    binom(a_0 - b_0 + 1, first - i), is built by the same steps.
     """
     starts = [i for i in range(len(a)) if i == 0 or a[i] != a[i - 1]]
-    col = []
-    for k, bk in enumerate(b):
+    col = [1]
+    if first:
+        # binom(N, K) for N = a_0 - b_0 + 1 and K = 0..first, then column
+        # first - 1 is its entries K = first..1
+        top = a[0] - b[0] + 1
+        for K in range(1, first + 1):
+            col.append(col[-1] * (top - K + 1) // K)
+    col = col[:0:-1]
+    for k in range(first, len(b)):
+        bk = b[k]
         if k and bk == b[k - 1]:
             prev = col
             col = [0, *prev]
@@ -160,12 +207,19 @@ def count_paths_det(bounds: HeightBounds) -> int:
     as a_i >= a_(i-1) >= b_(i-1). So the leading minors are D_0 = 1,
     D_k = sum_(i<=k) (-1)^(k-i) M[i][k] D_(i-1) (1-based, expanding D_k
     along its last column): O(n^2) integer work on the rows i <= k of
-    each column, with no matrix built.
+    each column, with no matrix built. D_k counts the paths of the first
+    k bounds, so over the r rows of the first level run (a_i = a_0 and
+    b_i = b_0) it is binom(a_0 - b_0 + k, k), and the recurrence starts at
+    column r.
     """
+    a, b = bounds.a, bounds.b
+    r = _first_run(a, b)
     # alt[i] = (-1)^i D_i, so that each minor is one sum of products:
     # D_(k+1) = (-1)^k sum_(i<=k) M[i][k] alt[i] (0-based rows)
     alt = [1]
-    for col in _columns(bounds.a, bounds.b):
+    for k in range(1, r + 1):
+        alt.append(-alt[-1] * (a[0] - b[0] + k) // k)
+    for col in _columns(a, b, r):
         alt.append(-sum(map(mul, col, alt)))
     return -alt[-1] if bounds.n % 2 else alt[-1]
 
@@ -261,9 +315,36 @@ def count_bounded_compositions(total: int, parts: int, minimum: int = 0,
                                upper: dict[int, int] | None = None,
                                lower: dict[int, int] | None = None) -> int:
     """len(list(iter_bounded_compositions(...))) with the same arguments,
-    without building a tuple: the counting view of _walk adds up the
-    length of each node's span."""
-    return sum(len(span) for _, _, span in _walk(total, parts, minimum, upper, lower))
+    without building a tuple.
+
+    The counting view walks one level less deep than the listing: the
+    walk over parts - 1 entries spans the second-to-last free prefix sum
+    v, and the last one runs over max(v + minimum, lo_last) .. hi_last, so
+    a node adds up those range lengths over its span: a constant run, then
+    an arithmetic series. Folding hi_last - minimum into v's upper bound
+    leaves every range nonempty.
+    """
+    if parts < 2 or minimum < 0:
+        # no second free prefix sum; or a minimum that _walk refuses
+        return sum(len(span) for _, _, span in _walk(total, parts, minimum, upper, lower))
+    upper, lower = dict(upper or {}), dict(lower or {})
+    last = parts - 1
+    if not lower.pop(parts, total) <= total <= upper.pop(parts, total):
+        return 0
+    lo_last = max(lower.pop(last, 0), 0)
+    hi_last = min(upper.pop(last, total), total - minimum)
+    if lo_last > hi_last:
+        return 0
+    upper[last - 1] = min(upper.get(last - 1, total), hi_last - minimum)
+    # v up to lo_last - minimum: hi_last - lo_last + 1 values each; above:
+    # hi_last - minimum - v + 1 = top - v
+    flat, top = hi_last - lo_last + 1, hi_last - minimum + 1
+    count = 0
+    for _, _, span in _walk(total, last, minimum, upper, lower):
+        first, stop = span.start, span.stop
+        mid = min(max(first, lo_last - minimum + 1), stop)
+        count += (mid - first) * flat + (stop - mid) * (2 * top - mid - stop + 1) // 2
+    return count
 
 
 def iter_height_sequences(bounds: HeightBounds, max_volume: int | None = None):

@@ -10,6 +10,7 @@ B_k = 1 + r_1 + ... + r_k mark the height and column breakpoints.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import accumulate, repeat
@@ -99,6 +100,15 @@ class StairSpec(namedtuple("StairSpec", "u r")):
         for x, top in zip(range(1, self.ambient_box()[0]), self.column_tops()):
             for y in range(1, top):
                 yield x, y
+
+    def render(self) -> str:
+        """render_ascii(stair(self)), read off the column tops: they never
+        fall, so row y of the picture is a '.' for each column whose top
+        is at most y, then a '#' for each of the others."""
+        tops = list(self.column_tops())[:-1]
+        width = len(tops)
+        return "\n".join("." * (c := bisect_right(tops, y)) + "#" * (width - c)
+                         for y in range(tops[-1] - 1, 0, -1))
 
     def step_checkpoints(self) -> tuple[tuple[int, int], ...]:
         """(B_s - 1, A_s) per inner step s = 1..p-1: the x- and y-prefix

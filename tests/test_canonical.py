@@ -250,7 +250,37 @@ class TestMinimalSearch:
         assert minimal_generators_search(spec, dmax) == expected
 
 
+def multichain_counts(spec, degree_max):
+    """[H(0), ..., H(degree_max)] counted as the multichains v_1 <= ... <=
+    v_d of the vertex set under the componentwise order, which a Hibi
+    ring's degree-d monomials are. chains[v], the chains of length d that
+    end at v, sums the chains of length d - 1 over the vertices below v: a
+    2-D prefix sum over the box, in which a point outside the vertex set
+    (above its column's top) counts 0."""
+    V = set(vertex_set(stair(spec)))
+    m, n = max(x for x, _ in V), max(y for _, y in V)
+    chains = dict.fromkeys(V, 1)
+    H = [1]
+    for _ in range(degree_max):
+        H.append(sum(chains.values()))
+        below = [[0] * (n + 1) for _ in range(m + 1)]
+        for x in range(1, m + 1):
+            for y in range(1, n + 1):
+                below[x][y] = (chains.get((x, y), 0) + below[x - 1][y] + below[x][y - 1]
+                               - below[x - 1][y - 1])
+        chains = {(x, y): below[x][y] for x, y in V}
+    return H
+
+
 class TestHilbert:
+    def test_matches_multichain_count(self):
+        # every staircase with p <= 3 and entries <= 3: 9 + 81 + 729 = 819
+        specs = [StairSpec(u, r) for p in range(1, 4)
+                 for u, r in product(product((1, 2, 3), repeat=p), repeat=2)]
+        assert len(specs) == 819
+        for spec in specs:
+            assert hilbert_function(spec, 4) == multichain_counts(spec, 4), spec
+
     def test_degree_zero(self):
         assert hilbert_function(P1, 0)[0] == 1
         assert hilbert_function(SINGLE, 0)[0] == 1

@@ -77,6 +77,17 @@ class TestPathsCommand:
         assert doc["count"] == "3"
         assert doc["sequences"] == [[0, 3], [0, 4], [0, 5]]
 
+    @pytest.mark.parametrize("method", ["dp", "det", "enumerate"])
+    def test_negative_heights_joined_by_equals(self, capsys, method):
+        # y_1 in -5..-3, y_2 in y_1..2: 8 + 7 + 6 paths
+        doc = run_json(capsys, "paths", "--a=-3,2", "--b=-5,-5", "--method", method)
+        assert doc["count"] == "21"
+        # argparse reads a separate "-5,-5" as an option, not as a value
+        code, out, err = run_cli(capsys, "paths", "--a=-3,2", "--b", "-5,-5",
+                                 "--method", method)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --b: expected one argument")
+
     def test_invalid_bounds(self, capsys):
         code, _, err = run_cli(capsys, "paths", "--a", "3,1")
         assert code == 1
@@ -373,17 +384,17 @@ class TestJsonEmitter:
         for p in (1, 2, 3):
             for u, r in product(product((1, 2, 3), repeat=p), repeat=2):
                 argv = ("polyomino", "--u", ",".join(map(str, u)), "--r", ",".join(map(str, r)))
-                out = run_cli(capsys, *argv, "--render")[1]
+                # with --render or without, no polyomino is built
+                with monkeypatch.context() as guard:
+                    forbid_calls(guard, stair, Polyomino)
+                    out = run_cli(capsys, *argv, "--render")[1]
+                    plain = run_json(capsys, *argv)
                 assert out == json.dumps(json.loads(out), indent=2) + "\n"
                 doc = json.loads(out)
                 P = stair(StairSpec(u, r))
                 assert doc["cells"] == [list(c) for c in sorted(P)]
                 assert doc["convex"] is is_convex(P)
                 assert doc["render"] == render_ascii(P)
-                # without --render, no polyomino is built
-                with monkeypatch.context() as guard:
-                    forbid_calls(guard, stair, Polyomino)
-                    plain = run_json(capsys, *argv)
                 del doc["render"]
                 assert plain == doc
                 count += 1

@@ -184,18 +184,34 @@ class TestAgreementProperties:
         assert list(_columns(a, b)) == expected
         assert count_paths_det(bounds) == count_paths_dp(bounds)
 
+    # level runs (equal a_i and equal b_i) that the DP and the determinant
+    # count in closed form: one run throughout, a long first run, a long
+    # last run, and b rising inside a's last run, which leaves a short last
+    # level run
+    @example(HeightBounds((3,) * 8, (0,) * 8))
+    @example(HeightBounds((2,) * 6 + (5, 9), (0,) * 8))
+    @example(HeightBounds((1, 4) + (7,) * 6, (0,) * 8))
+    @example(HeightBounds((1, 1) + (6,) * 6, (0, 0, 0, 0, 2, 2, 5, 5)))
     @settings(max_examples=200, deadline=None)
-    @given(height_bounds(max_n=8, max_h=10))
+    @given(st.one_of(height_bounds(max_n=8, max_h=10), run_bounds(min_h=0, max_h=10)))
     def test_det_equals_dp(self, bounds):
         assert count_paths_det(bounds) == count_paths_dp(bounds)
 
+    @example(HeightBounds((-2,) * 7, (-5,) * 7))
+    @example(HeightBounds((-3,) * 5 + (0, 4), (-4,) * 7))
+    @example(HeightBounds((-4, 0) + (3,) * 5, (-5, -5, -5, -1, -1, -1, 2)))
     @settings(max_examples=150, deadline=None)
-    @given(height_bounds(max_n=8, min_h=-5, max_h=10))
+    @given(st.one_of(height_bounds(max_n=8, min_h=-5, max_h=10), run_bounds()))
     def test_det_equals_dp_with_negative_heights(self, bounds):
         assert count_paths_det(bounds) == count_paths_dp(bounds)
 
+    @example(HeightBounds((2,) * 6, (0,) * 6))
+    @example(HeightBounds((-1,) * 4 + (1, 2), (-1,) * 6))
+    @example(HeightBounds((0, 1) + (3,) * 4, (0,) * 6))
+    @example(HeightBounds((0, 0) + (3,) * 5, (-1, -1, -1, 0, 0, 2, 2)))
     @settings(max_examples=150, deadline=None)
-    @given(height_bounds(max_n=5, max_h=6))
+    @given(st.one_of(height_bounds(max_n=5, max_h=6),
+                     run_bounds(min_run=2, max_runs=2, min_h=-1, max_h=1)))
     def test_counters_match_enumeration(self, bounds):
         count = count_paths_dp(bounds)
         assert count_paths_det(bounds) == count
@@ -240,6 +256,7 @@ class TestCompositionWalk:
     @pytest.mark.parametrize("args", [
         (0, 2, -1, None, None),
         (1, 3, -1, {1: 0}, None),
+        (-5, 3, -1, None, None),
     ])
     def test_negative_minimum_is_refused(self, args):
         # the walk floors every prefix sum at 0: (0, 2, -1) would list only
