@@ -26,7 +26,7 @@ _EXPORTS = {
     **dict.fromkeys(("ConeRep", "contains", "edge_vector", "facet_check", "in_relint",
                      "is_extreme_generator", "stair_cone", "stair_normals",
                      "verify_h_representation"), "cone"),
-    **dict.fromkeys(("CanonicalGenerator", "cm_type_stair", "h_vector", "hilbert_function",
+    **dict.fromkeys(("CanonicalGenerator", "cm_type_stair", "hilbert_function",
                      "hilbert_numerator", "minimal_generators_search", "stair_generators",
                      "top_turn_count"), "canonical"),
 }

@@ -5,8 +5,8 @@ p*(n-t) into p*t+1 parts whose prefix sums obey
 sum(alpha[:k*t]) <= k*(n-t) for k = 1..p-1. Four routes compute it:
 direct enumeration of the compositions, the bounded-path DP, the path
 determinant, and the Cohen-Macaulay type of the uniform staircase ring,
-read off the top coefficient of its Hilbert numerator by counting
-lattice paths through the vertex set by their NE turns. They are four
+the top coefficient of its Hilbert numerator, the top term of the
+count of lattice paths through the vertex set by NE turns. They are four
 independent computations (dp and det count the same paths by different
 algorithms), so their agreement is a check: they must always agree, and
 [n 1]_p specializes to the Fuss-Catalan number C_{p+1}(n).

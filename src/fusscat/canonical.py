@@ -20,17 +20,18 @@ DP over the vertices, independent of the bracket's other routes.
 The Hilbert data of any staircase, uniform or not, comes by one of two
 routes, read off its StairSpec (u, r) with no polyomino or cone built.
 The turn-count route counts the paths by their turns, all h_k at once,
-with each vertex's polynomial packed into one int (h_vector), and sums
-H(d) = sum_k h_k * binom(d - k + dim - 1, dim - 1). The lattice-point
-route fills one DP table over the pair of x- and y-prefix sums.
-hilbert_function and hilbert_numerator take the route with the smaller
-cost estimate, which is also the one compared against the cap: the
-turn-count route's grows with the vertex count times min(s, D) + 1 and
-with the length of its numbers, the table's with (D + 1)^2, so the
-table wins only at low degree on large staircases. top_turn_count
-keeps the top coefficient alone, in O(|V|) work on small ints. The
-general search keeps a relative-interior point by a rule on the
-staircase's blocks and its tight steps.
+with each vertex's polynomial packed into one int (_turn_polynomial),
+and sums H(d) = sum_k h_k * binom(d - k + dim - 1, dim - 1). The
+lattice-point route fills one DP table over the pair of x- and y-prefix
+sums. hilbert_function and hilbert_numerator take the route with the
+smaller cost estimate, which is also the one compared against the cap:
+the turn-count route's grows with the vertex count times min(s, D) + 1
+and with the length of its numbers, the table's with (D + 1)^2, so the
+table wins only at low degree on large staircases. The whole h-vector
+is hilbert_numerator(spec, spec.top_degree()). top_turn_count runs the
+same recurrence on each polynomial's top term alone, in O(|V|) work on
+small ints. The general search keeps a relative-interior point by a
+rule on the staircase's blocks and its tight steps.
 """
 
 from __future__ import annotations
@@ -104,48 +105,34 @@ def top_turn_count(spec: StairSpec, max_volume: int | None = None) -> tuple[int,
     k-th coefficient of the Hilbert numerator of the one-sided ladder
     ring (Conca, JPAA 98, 1995; Krattenthaler-Prohaska, Trans. AMS 351,
     1999), so h_s is the number of canonical generators of the lowest
-    degree, dim - s. The DP reads the column tops off (u, r), visits each
-    vertex once and is refused when the vertex count exceeds the cap.
+    degree, dim - s. The DP runs the column recurrence of _turn_polynomial
+    on the top term (degree, coefficient) of each vertex's T alone: every
+    coefficient is positive, so the top term of a sum is the sum of the
+    highest-degree top terms. It visits each vertex once and is refused
+    when the vertex count exceeds the cap.
     """
     check_turn_count(spec, max_volume)
-    tops = spec.column_tops()
-
-    # Over the paths from (1, 1) to (x, y), y = 1..top(x): the most NE
-    # turns and how many paths reach it, among the paths whose last step
-    # is E (em, ec; the empty path at the start counts as one) and among
-    # all of them (tm, tc).
-    top = next(tops)
-    em, ec = [0], [1]
-    tm, tc = [0] * top, [1] * top
-    for top in tops:
-        # no E step reaches the heights above the previous column's top
-        pad = len(tm) - len(em)
-        em += [-1] * pad
-        ec += [0] * pad
-        # An E step into (x, y) leaves (x - 1, y): after an E step there
-        # with no new turn, after an N step (from (x - 1, y - 1)) with
-        # one. (x, 1) has no N arrival.
-        m, c = em[0], ec[0]
-        new_em, new_ec, new_tm, new_tc = [m], [c], [m], [c]
-        for a, ca, b, cb in zip(em[1:], ec[1:], tm, tc):
-            b += 1
-            if a < b:
-                a, ca = b, cb
-            elif a == b:
-                ca += cb
-            new_em.append(a)
-            new_ec.append(ca)
-            # all paths to (x, y): the E arrivals and the N arrivals,
-            # which are the paths to (x, y - 1)
-            if a > m:
-                m, c = a, ca
-            elif a == m:
-                c += ca
-            new_tm.append(m)
-            new_tc.append(c)
-        rise = top - len(tm)
-        em, ec, tm, tc = new_em, new_ec, new_tm + [m] * rise, new_tc + [c] * rise
-    return tm[-1], tc[-1]
+    # a column 0 that holds just the start, the empty path
+    T = [(0, 1)]
+    for top in spec.column_tops():
+        column = []
+        # the top term of t * (T(x - 1, 1) + ... + T(x - 1, y - 1)), 0 at y = 1
+        m, c = -1, 0
+        for d, e in T:
+            if m > d:
+                column.append((m, c))
+            elif m == d:
+                column.append((d, e + c))
+            else:
+                column.append((d, e))
+            d += 1
+            if d > m:
+                m, c = d, e
+            elif d == m:
+                c += e
+        column += [column[-1]] * (top - len(column))
+        T = column
+    return T[-1]
 
 
 def check_turn_count(spec: StairSpec, max_volume: int | None = None):
@@ -169,14 +156,14 @@ def minimal_generators_search(spec: StairSpec, degree_max: int,
     cover_k = A_s for the largest tight s < k (0 if none), z is kept iff
     no block k with an x-coordinate above 1 has a y-coordinate above 1
     among y_(cover_k + 1) .. y_(A_k). Refused when the point-count
-    estimate exceeds the cap.
+    estimate, summed degree by degree, exceeds the cap.
     """
     m, ny = spec.ambient_box()
-    estimate = sum(
-        binomial(d - 1, m - 1) * binomial(d - 1, ny - 1)
-        for d in range(degree_max + 1)
-    )
-    check_volume(estimate, max_volume, what="relative-interior point search")
+    # the degrees below max(m, ny) hold no point
+    estimate = 0
+    for d in range(max(m, ny), degree_max + 1):
+        estimate += binomial(d - 1, m - 1) * binomial(d - 1, ny - 1)
+        check_volume(estimate, max_volume, what="relative-interior point search")
     checkpoints = spec.step_checkpoints()
     # block k holds the x-coordinates starts[k] + 1 .. ends[k]
     ends = [blen for blen, _ in checkpoints] + [m]
@@ -208,21 +195,6 @@ def minimal_generators_search(spec: StairSpec, degree_max: int,
     return sorted(found)
 
 
-def h_vector(spec: StairSpec, degree_max: int | None = None,
-             max_volume: int | None = None) -> list[int]:
-    """[h_0, ..., h_s], the coefficients of the Hilbert series numerator,
-    or only h_0 .. h_min(s, degree_max): h_k counts the lattice paths
-    through the vertex set with k NE turns (see top_turn_count). Refused
-    when the vertex count times the number of coefficients exceeds the
-    cap."""
-    s = spec.top_degree()
-    if degree_max is not None:
-        _check_degree(degree_max)
-        s = min(s, degree_max)
-    check_volume(spec.vertex_count() * (s + 1), max_volume, what="ladder turn-count DP")
-    return _turn_polynomial(spec, s)
-
-
 def _turn_polynomial(spec: StairSpec, degree_max: int) -> list[int]:
     """h_0 .. h_degree_max by one DP over the vertex columns.
 
@@ -252,11 +224,6 @@ def _turn_polynomial(spec: StairSpec, degree_max: int) -> list[int]:
     return [T[-1] >> w * k & slot for k in range(degree_max + 1)]
 
 
-def _check_degree(degree_max: int):
-    if degree_max < 0:
-        raise ValueError(f"degree must be >= 0, got {degree_max}")
-
-
 def _hilbert_route(spec: StairSpec, degree_max: int, max_volume: int | None) -> int | None:
     """Pick the cheaper way to the Hilbert data up to degree_max, and
     refuse it when its estimate exceeds the cap. Returns min(s,
@@ -271,7 +238,8 @@ def _hilbert_route(spec: StairSpec, degree_max: int, max_volume: int | None) -> 
     (B_p + A_p) * (D + 1)^2 cell updates. The DP wins unless D is small
     against s and |V|, as on a large rectangle at degree 1.
     """
-    _check_degree(degree_max)
+    if degree_max < 0:
+        raise ValueError(f"degree must be >= 0, got {degree_max}")
     top = min(spec.top_degree(), degree_max)
     words = (degree_max + 2 * spec.krull_dim()) // 64 + 1
     turns = (spec.vertex_count() + degree_max) * (top + 1) * words

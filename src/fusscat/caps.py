@@ -25,9 +25,12 @@ class SearchCapExceeded(RuntimeError):
         self.estimate = estimate
         self.cap = cap
         self.what = what
-        super().__init__(
-            f"refusing {what}: estimated volume {estimate} exceeds cap {cap}"
-        )
+        try:
+            volume = str(estimate)
+        except ValueError:
+            # past str()'s digit limit (sys.set_int_max_str_digits); .estimate stays exact
+            volume = f"of {estimate.bit_length()} bits"
+        super().__init__(f"refusing {what}: estimated volume {volume} exceeds cap {cap}")
 
 
 def check_volume(estimate, max_volume, what="search"):

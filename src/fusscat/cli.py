@@ -308,6 +308,11 @@ def _emit(doc: dict, fmt: str, out):
 
 def main(argv=None) -> int:
     out = sys.stdout
+    # an exact count can have more digits than str() converts by default
+    # (4300 from Python 3.11), so the limit is lifted for this run only
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         if args.command == "selftest":
@@ -327,8 +332,12 @@ def main(argv=None) -> int:
     except SearchCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args.format, out)
-    return 0
+    else:
+        _emit(doc, args.format, out)
+        return 0
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -161,6 +161,13 @@ class TestCheckMethods:
         with pytest.raises(ValueError):
             brackets.check_methods(3, 3, 1)
 
+    def test_refusal_past_the_str_digit_limit(self):
+        # enum's estimate binom(20000, 10000) * 10001 has 6023 digits, more
+        # than str() converts by default; the refusal still raises, exact
+        with pytest.raises(SearchCapExceeded, match="composition enumeration") as refused:
+            gfc(20000, 10000, 1, "enum")
+        assert refused.value.estimate == binomial(20000, 10000) * 10001
+
 
 class TestSymmetryReport:
     def test_reference_sweep(self):

@@ -14,8 +14,8 @@ from fusscat.brackets import enum_volume, enumerate_A, gfc
 from fusscat.canonical import (
     CanonicalGenerator,
     _hilbert_table,
+    _turn_polynomial,
     cm_type_stair,
-    h_vector,
     hilbert_function,
     hilbert_numerator,
     minimal_generators_search,
@@ -184,6 +184,12 @@ class TestTurnCount:
     def test_reference_and_single_cell(self):
         assert top_turn_count(P1) == (3, 55)
         assert top_turn_count(SINGLE) == (1, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stair_specs(max_p=5, max_entry=8))
+    def test_top_term_of_turn_polynomial(self, spec):
+        s = spec.top_degree()
+        assert top_turn_count(spec) == (s, _turn_polynomial(spec, s)[s])
 
 
 class TestMinimalSearch:
@@ -381,7 +387,7 @@ class TestHilbert:
         assert hilbert_numerator(StairSpec((1500,), (1500,)), 1) == [1, 1500 * 1500]
 
     def test_rejects_negative_degree(self):
-        for route in (hilbert_function, hilbert_numerator, h_vector):
+        for route in (hilbert_function, hilbert_numerator):
             with pytest.raises(ValueError):
                 route(P1, -1)
 
@@ -405,16 +411,18 @@ class TestHilbert:
 
 @lru_cache(maxsize=None)
 def census_h_vectors():
-    """h_vector of every staircase with p <= 4 and entries <= 3."""
-    return {spec: h_vector(spec) for spec in iter_stair_specs(4, 3)}
+    """The h-vector of every staircase with p <= 4 and entries <= 3."""
+    return {spec: hilbert_numerator(spec, spec.top_degree())
+            for spec in iter_stair_specs(4, 3)}
 
 
 class TestHVector:
     def test_reference_h_vectors(self):
-        assert h_vector(P1) == [1, 18, 66, 55]
-        assert h_vector(P2) == [1, 36, 318, 960, 1071, 444, 55]
-        assert h_vector(P2, 3) == [1, 36, 318, 960]
-        assert h_vector(SINGLE) == [1, 1]
+        assert hilbert_numerator(P1, P1.top_degree()) == [1, 18, 66, 55]
+        assert hilbert_numerator(P2, P2.top_degree()) == [1, 36, 318, 960, 1071, 444, 55]
+        assert hilbert_numerator(P2, 3) == [1, 36, 318, 960]
+        assert _turn_polynomial(P2, 3) == [1, 36, 318, 960]
+        assert hilbert_numerator(SINGLE, SINGLE.top_degree()) == [1, 1]
 
     def test_census_length_and_top_coefficient(self):
         census = census_h_vectors()
@@ -435,15 +443,15 @@ class TestHVector:
     def test_census_matches_table_to_degree_8(self):
         for spec, h in census_h_vectors().items():
             want = numerator_from_hilbert(_hilbert_table(spec, 8), spec.krull_dim())
-            assert h_vector(spec, 8) == want[:len(h)], spec
+            assert _turn_polynomial(spec, min(len(h) - 1, 8)) == want[:len(h)], spec
             assert want[len(h):] == [0] * (9 - len(h)), spec
 
     @settings(max_examples=150, deadline=None)
     @given(stair_specs(max_p=5, max_entry=6), st.integers(0, 30))
     def test_routes_agree(self, spec, d):
         table = _hilbert_table(spec, d)
-        h = h_vector(spec, d)
-        full = h_vector(spec)
+        h = _turn_polynomial(spec, min(spec.top_degree(), d))
+        full = hilbert_numerator(spec, spec.top_degree())
         assert h == full[:d + 1]
         assert (len(full) - 1, full[-1]) == top_turn_count(spec)
         assert h + [0] * (d + 1 - len(h)) == numerator_from_hilbert(table, spec.krull_dim())
@@ -453,12 +461,5 @@ class TestHVector:
     def test_matches_path_listing(self):
         for spec in SMALL_SPECS:
             turns = Counter(w.count("NE") for w in ladder_paths(vertex_set(stair(spec))))
-            assert h_vector(spec) == [turns[k] for k in range(max(turns) + 1)], spec
-
-    def test_cap_counts_vertices_per_coefficient(self):
-        # P2 has 52 vertices and s = 6
-        assert h_vector(P2, 3, max_volume=52 * 4) == [1, 36, 318, 960]
-        for degree_max, estimate in ((None, 52 * 7), (3, 52 * 4), (9, 52 * 7)):
-            with pytest.raises(SearchCapExceeded) as refused:
-                h_vector(P2, degree_max, max_volume=estimate - 1)
-            assert refused.value.estimate == estimate
+            h = hilbert_numerator(spec, spec.top_degree())
+            assert h == [turns[k] for k in range(max(turns) + 1)], spec

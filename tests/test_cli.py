@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import sys
 from itertools import product
 
 import hypothesis.strategies as st
@@ -246,14 +249,39 @@ class TestExitCodes:
         # 24,002 * 2 turn-count steps on numbers of up to 24,006 bits (376
         # words), and 2003 * 20,001^2 table cells
         (("hilbert", "--u", "1", "--r", "2000", "--dmax", "20000"), "volume 18049504 "),
+        # the search's estimate passes the cap at degree 312, and the
+        # degrees above it are never summed
+        (("canonical", "--u", "1", "--r", "1", "--dmax", "1000000000000"),
+         "volume 10075156 "),
     ], ids=["cone-verify-200", "cone-verify-100", "cone-verify-cap", "polyomino-1500",
-            "gfc-all-canonical", "hilbert-long-output"])
+            "gfc-all-canonical", "hilbert-long-output", "canonical-search-huge-dmax"])
     def test_refused_before_building(self, capsys, argv, fragment):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("refused:")
         assert fragment in err
+
+    def test_counts_past_the_str_digit_limit(self, capsys):
+        # binom(20000, 10000) has 6019 digits, more than str() converts by
+        # default; main lifts that limit for its own run and restores it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        value = math.comb(20000, 10000)
+        doc = run_json(capsys, "gfc", "--n", "20000", "--t", "10000", "--p", "1",
+                       "--method", "det")
+        digits = doc["value"]
+        assert len(digits) == 6019
+        assert int(digits[:4000]) == value // 10 ** 2019
+        assert int(digits[-4000:]) == value % 10 ** 4000
+        # enum's estimate, value * 10001, refuses first
+        code, out, err = run_cli(capsys, "gfc", "--n", "20000", "--t", "10000", "--p", "1")
+        assert code == 2
+        assert out == ""
+        estimate = re.fullmatch(r"refused: refusing composition enumeration .*: "
+                                r"estimated volume (\d+) exceeds cap 10000000\n", err)[1]
+        assert len(estimate) == 6023
+        assert int(estimate[-4000:]) == value * 10001 % 10 ** 4000
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_cone_cap_boundary_answers(self, capsys):
         # the single cell's 4 generators times 4 normals

@@ -18,8 +18,7 @@ from fusscat.exactmat import Matrix
 from fusscat.paths import HeightBounds
 from fusscat.polyomino import InnerInterval, Polyomino, StairSpec, inner_intervals, stair
 
-# the names the package exported when it imported every module up front,
-# and h_vector
+# the names the package exported when it imported every module up front
 EXPORTS = {
     "caps": ("DEFAULT_MAX_VOLUME", "SearchCapExceeded"),
     "exactmat": ("Matrix", "binomial", "det_exact", "fuss_catalan", "rank_exact"),
@@ -31,7 +30,7 @@ EXPORTS = {
     "cone": ("ConeRep", "contains", "edge_vector", "facet_check", "in_relint",
              "is_extreme_generator", "stair_cone", "stair_normals",
              "verify_h_representation"),
-    "canonical": ("CanonicalGenerator", "cm_type_stair", "h_vector", "hilbert_function",
+    "canonical": ("CanonicalGenerator", "cm_type_stair", "hilbert_function",
                   "hilbert_numerator", "minimal_generators_search", "stair_generators",
                   "top_turn_count"),
 }
