@@ -13,9 +13,9 @@ algorithms), so their agreement is a check: they must always agree, and
 
 The composition entries are nonnegative. Enumeration order is
 lexicographic and deterministic so listings can be diffed. The enum
-route lists no composition: it walks the listing's prefix-sum tree one
-level less deep, with nodes that fix every prefix sum but the last two
-free ones, and counts the pairs of values those two take in closed form
+route lists no composition: it walks the listing's prefix-sum tree only
+to the last bounded prefix sum, (p-1)*t, and counts the t+1 free entries
+after it by one binomial difference per node
 (paths.count_bounded_compositions), under the listing's cap.
 """
 
@@ -40,9 +40,15 @@ def enum_volume(n: int, t: int, p: int) -> int:
 
 def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
     """Refuse iter_A(n, t, p) and gfc(n, t, p, "enum") when enum_volume
-    exceeds the cap."""
-    check_volume(enum_volume(n, t, p), max_volume,
-                 what=f"composition enumeration for (n,t,p)=({n},{t},{p})")
+    exceeds the cap, at the first of its increasing partial products
+    binom(total + i, i) * parts above it, without the exact binomial."""
+    parts = p * t + 1
+    total = p * (n - t)
+    what = f"composition enumeration for (n,t,p)=({n},{t},{p})"
+    estimate = parts
+    for i in range(1, parts + 1):
+        check_volume(estimate, max_volume, what)
+        estimate = estimate * (total + i) // i
 
 
 def check_methods(n: int, t: int, p: int, max_volume: int | None = None):

@@ -23,9 +23,9 @@ first..top that the last free prefix sum runs over, so each node stands
 for top - first + 1 compositions. Three views read the nodes:
 iter_bounded_compositions lists one tuple per value of the range (the
 bracket's compositions, the canonical-module generators and the search's
-lattice points), count_bounded_compositions walks one level less deep
-and counts the last two free prefix sums in closed form per node,
-without building a tuple (the bracket's enum route), and
+lattice points), count_bounded_compositions walks only to the last
+bounded prefix sum and counts the free tail by one binomial difference
+per node, without building a tuple (the bracket's enum route), and
 iter_height_sequences reads the heights off the prefix sums.
 """
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, chain, repeat
+from math import comb
 from operator import gt, lt, mul
 
 from .caps import check_volume
@@ -317,34 +318,25 @@ def count_bounded_compositions(total: int, parts: int, minimum: int = 0,
     """len(list(iter_bounded_compositions(...))) with the same arguments,
     without building a tuple.
 
-    The counting view walks one level less deep than the listing: the
-    walk over parts - 1 entries spans the second-to-last free prefix sum
-    v, and the last one runs over max(v + minimum, lo_last) .. hi_last, so
-    a node adds up those range lengths over its span: a constant run, then
-    an arithmetic series. Folding hi_last - minimum into v's upper bound
-    leaves every range nonempty.
+    The counting view walks only to K, the largest prefix length below
+    parts that a bound names (0 if none), whose top is tightened to
+    R = total - (parts - K) * minimum. From prefix sum v there, the free
+    tail of parts - K entries completes in binom(R - v + j, j) ways,
+    j = parts - K - 1, so by the hockey-stick identity a node whose span
+    runs over a..b adds binom(R - a + j + 1, j + 1) - binom(R - b + j, j + 1).
     """
-    if parts < 2 or minimum < 0:
-        # no second free prefix sum; or a minimum that _walk refuses
+    if parts < 1 or minimum < 0:
+        # no free entry; or a minimum that _walk refuses
         return sum(len(span) for _, _, span in _walk(total, parts, minimum, upper, lower))
     upper, lower = dict(upper or {}), dict(lower or {})
-    last = parts - 1
     if not lower.pop(parts, total) <= total <= upper.pop(parts, total):
         return 0
-    lo_last = max(lower.pop(last, 0), 0)
-    hi_last = min(upper.pop(last, total), total - minimum)
-    if lo_last > hi_last:
-        return 0
-    upper[last - 1] = min(upper.get(last - 1, total), hi_last - minimum)
-    # v up to lo_last - minimum: hi_last - lo_last + 1 values each; above:
-    # hi_last - minimum - v + 1 = top - v
-    flat, top = hi_last - lo_last + 1, hi_last - minimum + 1
-    count = 0
-    for _, _, span in _walk(total, last, minimum, upper, lower):
-        first, stop = span.start, span.stop
-        mid = min(max(first, lo_last - minimum + 1), stop)
-        count += (mid - first) * flat + (stop - mid) * (2 * top - mid - stop + 1) // 2
-    return count
+    K = max((k for k in chain(upper, lower) if k < parts), default=0)
+    j = parts - K - 1
+    R = total - (parts - K) * minimum
+    upper[K] = min(upper.get(K, R), R)
+    return sum(comb(R - span.start + j + 1, j + 1) - comb(R - span.stop + j + 1, j + 1)
+               for _, _, span in _walk(total, K + 1, minimum, upper, lower))
 
 
 def iter_height_sequences(bounds: HeightBounds, max_volume: int | None = None):

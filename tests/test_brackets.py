@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -91,9 +93,9 @@ class TestIndependentRoutes:
     def test_dropped_composition_breaks_agreement(self, monkeypatch):
         # one value fewer in the span of the walk's first node. The listing
         # expands the last free prefix sum and loses one composition. enum
-        # walks one level less deep, so its first span runs over the
-        # second-to-last prefix sum, and at (4, 2, 2) the value dropped
-        # there heads 5 compositions
+        # walks only to the last bounded prefix sum, the sum of the first 2
+        # entries at (4, 2, 2), and the value 0 dropped there heads the
+        # binom(4 + 2, 2) = 15 compositions of its free tail
         walk = paths._walk
 
         def drop_first(*args, **kwargs):
@@ -103,11 +105,29 @@ class TestIndependentRoutes:
             yield from nodes
 
         monkeypatch.setattr(paths, "_walk", drop_first)
-        assert gfc(4, 2, 2, "enum") == 48
+        assert gfc(4, 2, 2, "enum") == 38
         assert len(enumerate_A(4, 2, 2)) == 52
         assert gfc(4, 2, 2, "canonical") == 53
         passed, _ = selftest.check_symmetry_and_methods(n_max=4, p_max=2)
         assert not passed
+
+    def test_enum_walks_to_the_last_bounded_prefix_sum(self, monkeypatch):
+        # (6, 3, 4): enum's walk stops at prefix sum 9 = (p - 1) * t, the
+        # last bounded one; the listing's at 12, the last free one
+        walk, nodes = paths._walk, []
+
+        def counted(*args, **kwargs):
+            for node in walk(*args, **kwargs):
+                nodes.append(None)
+                yield node
+
+        monkeypatch.setattr(paths, "_walk", counted)
+        cap = brackets.enum_volume(6, 3, 4)
+        assert gfc(6, 3, 4, "enum", cap) == 1_205_961
+        assert len(nodes) == 10_580
+        nodes.clear()
+        assert sum(1 for _ in brackets.iter_A(6, 3, 4, cap)) == 1_205_961
+        assert len(nodes) == 457_700
 
     def test_asymmetric_bracket_fails_criterion_3(self, monkeypatch):
         # every method gains 1 above t = n/2: the methods still agree, so
@@ -162,11 +182,20 @@ class TestCheckMethods:
             brackets.check_methods(3, 3, 1)
 
     def test_refusal_past_the_str_digit_limit(self):
-        # enum's estimate binom(20000, 10000) * 10001 has 6023 digits, more
-        # than str() converts by default; the refusal still raises, exact
+        # enum is refused at its first partial product above the cap,
+        # binom(10001, 1) * 10001, not at the full binom(20000, 10000) *
+        # 10001. That one has 6023 digits, more than str() converts by
+        # default; a refusal gives it by its bit length and keeps it exact
         with pytest.raises(SearchCapExceeded, match="composition enumeration") as refused:
             gfc(20000, 10000, 1, "enum")
-        assert refused.value.estimate == binomial(20000, 10000) * 10001
+        assert refused.value.estimate == 10001 * 10001
+        huge = binomial(20000, 10000) * 10001
+        refusal = SearchCapExceeded(huge, 10_000_000, "composition enumeration")
+        assert refusal.estimate == huge
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        volume = f"of {huge.bit_length()} bits" if 0 < limit < 6023 else str(huge)
+        assert str(refusal) == ("refusing composition enumeration: estimated volume "
+                                f"{volume} exceeds cap 10000000")
 
 
 class TestSymmetryReport:

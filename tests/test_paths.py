@@ -272,6 +272,10 @@ class TestCompositionWalk:
     @example((-1, 0, 0, None, None))
     @example((3, 1, 0, None, {1: 4}))
     @example((5, 3, 2, None, None))
+    @example((7, 3, 2, None, None))
+    @example((6, 4, 1, {3: 4}, None))
+    @example((4, 3, 1, {0: 0}, None))
+    @example((-2, 3, 0, None, None))
     def test_counting_view_counts_the_listing(self, args):
         assert count_bounded_compositions(*args) == len(list(iter_bounded_compositions(*args)))
 
