@@ -16,47 +16,26 @@ lexicographic and deterministic so listings can be diffed. The enum
 route lists no composition: it walks the listing's prefix-sum tree only
 to the last bounded prefix sum, (p-1)*t, and counts the t+1 free entries
 after it by one binomial difference per node
-(paths.count_bounded_compositions), under the listing's cap.
+(paths.count_bounded_compositions), under the listing's cap. That cap,
+enum_volume and check_enum, lives in paths next to the walker and is
+imported here with the canonical route, which imports nothing from
+this module.
 """
 
 from __future__ import annotations
 
-from .caps import GFC_METHODS, check_volume
-from .exactmat import binomial
-from .paths import (check_dp, count_bounded_compositions, count_paths_det, count_paths_dp,
-                    iter_bounded_compositions, staircase_bounds, validate_triple)
+from .canonical import check_turn_count, cm_type_stair
+from .caps import GFC_METHODS
+from .paths import (check_dp, check_enum, count_bounded_compositions, count_paths_det,
+                    count_paths_dp, enum_volume, iter_bounded_compositions, staircase_bounds,
+                    validate_triple)
 from .polyomino import StairSpec
-
-
-def enum_volume(n: int, t: int, p: int) -> int:
-    """The cap estimate of iter_A(n, t, p): the unconstrained
-    stars-and-bars count times the tuple length p*t + 1, i.e. the entries
-    a full listing holds; the prefix constraints only shrink the true
-    search tree."""
-    parts = p * t + 1
-    total = p * (n - t)
-    return binomial(total + parts - 1, parts - 1) * parts
-
-
-def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
-    """Refuse iter_A(n, t, p) and gfc(n, t, p, "enum") when enum_volume
-    exceeds the cap, at the first of its increasing partial products
-    binom(total + i, i) * parts above it, without the exact binomial."""
-    parts = p * t + 1
-    total = p * (n - t)
-    what = f"composition enumeration for (n,t,p)=({n},{t},{p})"
-    estimate = parts
-    for i in range(1, parts + 1):
-        check_volume(estimate, max_volume, what)
-        estimate = estimate * (total + i) // i
 
 
 def check_methods(n: int, t: int, p: int, max_volume: int | None = None):
     """Raise SearchCapExceeded for the first method, in GFC_METHODS
     order, whose cap estimate exceeds the cap, so that a request for all
     of them is refused before any of them runs. det has no cap."""
-    from .canonical import check_turn_count
-
     validate_triple(n, t, p)
     check_enum(n, t, p, max_volume)
     check_dp(staircase_bounds(n, t, p), max_volume)
@@ -94,8 +73,6 @@ def gfc(n: int, t: int, p: int, method: str = "det",
     if method == "det":
         return count_paths_det(staircase_bounds(n, t, p))
     if method == "canonical":
-        from .canonical import cm_type_stair
-
         return cm_type_stair(n, t, p, max_volume)
     raise ValueError(f"unknown method {method!r}, expected one of {GFC_METHODS}")
 

@@ -20,14 +20,16 @@ DP over the vertices, independent of the bracket's other routes.
 The Hilbert data of any staircase, uniform or not, comes by one of two
 routes, read off its StairSpec (u, r) with no polyomino or cone built.
 The turn-count route counts the paths by their turns, all h_k at once,
-with each vertex's polynomial packed into one int (_turn_polynomial),
-and sums H(d) = sum_k h_k * binom(d - k + dim - 1, dim - 1). The
-lattice-point route fills one DP table over the pair of x- and y-prefix
-sums. hilbert_function and hilbert_numerator take the route with the
-smaller cost estimate, which is also the one compared against the cap:
-the turn-count route's grows with the vertex count times min(s, D) + 1
+with each vertex's polynomial packed into one int (_turn_polynomial).
+The lattice-point route fills one DP table over the pair of x- and
+y-prefix sums and multiplies its H by (1 - t)^dim. hilbert_numerator
+is the one function that picks a route: it takes the one with the
+smaller cost estimate, which is also the one compared against the cap.
+The turn-count route's grows with the vertex count times min(s, D) + 1
 and with the length of its numbers, the table's with (D + 1)^2, so the
-table wins only at low degree on large staircases. The whole h-vector
+table wins only at low degree on large staircases. Every H comes from
+that h by one conversion, hilbert_from_numerator, which multiplies
+h_0 .. h_min(s, D) by the series of 1 / (1 - t)^dim. The whole h-vector
 is hilbert_numerator(spec, spec.top_degree()). top_turn_count runs the
 same recurrence on each polynomial's top term alone, in O(|V|) work on
 small ints. The general search keeps a relative-interior point by a
@@ -40,10 +42,9 @@ from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from .brackets import check_enum, validate_triple
 from .caps import check_volume
 from .exactmat import binomial
-from .paths import iter_bounded_compositions
+from .paths import check_enum, iter_bounded_compositions, validate_triple
 from .polyomino import ExpVec, StairSpec
 
 
@@ -224,50 +225,13 @@ def _turn_polynomial(spec: StairSpec, degree_max: int) -> list[int]:
     return [T[-1] >> w * k & slot for k in range(degree_max + 1)]
 
 
-def _hilbert_route(spec: StairSpec, degree_max: int, max_volume: int | None) -> int | None:
-    """Pick the cheaper way to the Hilbert data up to degree_max, and
-    refuse it when its estimate exceeds the cap. Returns min(s,
-    degree_max), the degree to which the turn-count DP is to compute h,
-    or None when the (X, Y) table is cheaper.
-
-    The DP costs |V| additions per coefficient, and H(d) then takes
-    min(s, d) + 1 products each. Those act on numbers up to H(D) <=
-    binom(D + dim - 1, dim - 1) * (number of paths) < 2^(D + 2 dim - 2),
-    so each step counts as (D + 2 dim) // 64 + 1 words of 64 bits: for
-    large D the output itself is what grows. The table costs
-    (B_p + A_p) * (D + 1)^2 cell updates. The DP wins unless D is small
-    against s and |V|, as on a large rectangle at degree 1.
-    """
-    if degree_max < 0:
-        raise ValueError(f"degree must be >= 0, got {degree_max}")
-    top = min(spec.top_degree(), degree_max)
-    words = (degree_max + 2 * spec.krull_dim()) // 64 + 1
-    turns = (spec.vertex_count() + degree_max) * (top + 1) * words
-    table = sum(spec.ambient_box()) * (degree_max + 1) ** 2
-    if turns <= table:
-        check_volume(turns, max_volume, what="Hilbert turn-count DP")
-        return top
-    check_volume(table, max_volume, what="Hilbert-function lattice point count")
-    return None
-
-
 def hilbert_function(spec: StairSpec, degree_max: int,
                      max_volume: int | None = None) -> list[int]:
     """[H(0), ..., H(degree_max)]: the number of degree-d monomials of the
-    staircase ring for each d up to degree_max, by the cheaper of two
-    routes (_hilbert_route). The turn-count route sums
-    H(d) = sum_k h_k * binom(d - k + dim - 1, dim - 1) over k <= min(s, d).
-    """
-    top = _hilbert_route(spec, degree_max, max_volume)
-    if top is None:
-        return _hilbert_table(spec, degree_max)
-    h = _turn_polynomial(spec, top)
-    dim = spec.krull_dim()
-    # binom(j + dim - 1, dim - 1) for j = 0..degree_max, the coefficients
-    # of 1 / (1 - t)^dim
-    series = list(accumulate(range(1, degree_max + 1),
-                             lambda c, j: c * (j + dim - 1) // j, initial=1))
-    return _times_series(h, series)
+    staircase ring for each d up to degree_max, from the numerator of
+    hilbert_numerator, under its route and its cap."""
+    return hilbert_from_numerator(hilbert_numerator(spec, degree_max, max_volume),
+                                  spec.krull_dim())
 
 
 def _hilbert_table(spec: StairSpec, degree_max: int) -> list[int]:
@@ -300,11 +264,46 @@ def hilbert_numerator(spec: StairSpec, degree_max: int,
                       max_volume: int | None = None) -> list[int]:
     """Coefficients h_0..h_{degree_max} of the Hilbert series numerator,
     i.e. of (sum_d H(d) t^d) * (1 - t)^dim truncated at degree_max, by the
-    cheaper of the routes of hilbert_function."""
-    top = _hilbert_route(spec, degree_max, max_volume)
-    if top is None:
-        return numerator_from_hilbert(_hilbert_table(spec, degree_max), spec.krull_dim())
-    return _turn_polynomial(spec, top) + [0] * (degree_max - top)
+    cheaper of two routes, refused when that route's estimate exceeds the
+    cap. The turn-count DP computes h up to min(s, degree_max), the rest
+    is zeros; the (X, Y) table counts H(0) .. H(degree_max) and multiplies
+    them by (1 - t)^dim.
+
+    The DP costs |V| additions per coefficient, and H(d) then takes
+    min(s, d) + 1 products each. Those act on numbers up to H(D) <=
+    binom(D + dim - 1, dim - 1) * (number of paths) < 2^(D + 2 dim - 2),
+    so each step counts as (D + 2 dim) // 64 + 1 words of 64 bits: for
+    large D the output itself is what grows. The table costs
+    (B_p + A_p) * (D + 1)^2 cell updates. The DP wins unless D is small
+    against s and |V|, as on a large rectangle at degree 1.
+    """
+    if degree_max < 0:
+        raise ValueError(f"degree must be >= 0, got {degree_max}")
+    top = min(spec.top_degree(), degree_max)
+    words = (degree_max + 2 * spec.krull_dim()) // 64 + 1
+    turns = (spec.vertex_count() + degree_max) * (top + 1) * words
+    table = sum(spec.ambient_box()) * (degree_max + 1) ** 2
+    if turns <= table:
+        check_volume(turns, max_volume, what="Hilbert turn-count DP")
+        return _turn_polynomial(spec, top) + [0] * (degree_max - top)
+    check_volume(table, max_volume, what="Hilbert-function lattice point count")
+    return numerator_from_hilbert(_hilbert_table(spec, degree_max), spec.krull_dim())
+
+
+def hilbert_from_numerator(h: list[int], dim: int) -> list[int]:
+    """[H(0), ..., H(len(h) - 1)] from the numerator coefficients h: the
+    product of h and 1 / (1 - t)^dim, truncated at degree len(h) - 1, so
+    H(d) = sum_k h_k * binom(d - k + dim - 1, dim - 1). The zero tail of h
+    is not multiplied: a staircase's h is positive up to s and zero past
+    it, so each of h_0 .. h_min(s, D) takes one pass over the series."""
+    top = len(h)
+    while top and not h[top - 1]:
+        top -= 1
+    # binom(j + dim - 1, dim - 1) for j = 0..len(h) - 1, the coefficients
+    # of 1 / (1 - t)^dim
+    series = list(accumulate(range(1, len(h)),
+                             lambda c, j: c * (j + dim - 1) // j, initial=1))
+    return _times_series(h[:top], series)
 
 
 def numerator_from_hilbert(H: list[int], dim: int) -> list[int]:

@@ -211,16 +211,13 @@ def _run_hilbert(args) -> dict:
     from . import canonical, polyomino
 
     spec = _spec(args)
-    values = canonical.hilbert_function(spec, args.dmax, args.max_volume)
+    h = canonical.hilbert_numerator(spec, args.dmax, args.max_volume)
     dim = spec.krull_dim()
-    # the numerator has degree s, so only H(0) .. H(s) enter it
-    top = min(spec.top_degree(), args.dmax)
     return {
         "spec": polyomino.format_stair_spec(spec),
         "dimension": dim,
-        "hilbert_function": [str(v) for v in values],
-        "numerator": (canonical.numerator_from_hilbert(values[:top + 1], dim)
-                      + [0] * (args.dmax - top)),
+        "hilbert_function": [str(v) for v in canonical.hilbert_from_numerator(h, dim)],
+        "numerator": h,
     }
 
 

@@ -26,7 +26,10 @@ bracket's compositions, the canonical-module generators and the search's
 lattice points), count_bounded_compositions walks only to the last
 bounded prefix sum and counts the free tail by one binomial difference
 per node, without building a tuple (the bracket's enum route), and
-iter_height_sequences reads the heights off the prefix sums.
+iter_height_sequences reads the heights off the prefix sums. The
+bracket's triple check and the cap of its composition listing
+(validate_triple, enum_volume, check_enum) sit here too, so that
+canonical and brackets both take them from this module.
 """
 
 from __future__ import annotations
@@ -79,6 +82,29 @@ def validate_triple(n: int, t: int, p: int):
         raise ValueError(f"require 1 <= t < n, got t={t}, n={n}")
     if p < 1:
         raise ValueError(f"require p >= 1, got p={p}")
+
+
+def enum_volume(n: int, t: int, p: int) -> int:
+    """The cap estimate of iter_A(n, t, p): the unconstrained
+    stars-and-bars count times the tuple length p*t + 1, i.e. the entries
+    a full listing holds; the prefix constraints only shrink the true
+    search tree."""
+    parts = p * t + 1
+    total = p * (n - t)
+    return binomial(total + parts - 1, parts - 1) * parts
+
+
+def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
+    """Refuse iter_A(n, t, p) and gfc(n, t, p, "enum") when enum_volume
+    exceeds the cap, at the first of its increasing partial products
+    binom(total + i, i) * parts above it, without the exact binomial."""
+    parts = p * t + 1
+    total = p * (n - t)
+    what = f"composition enumeration for (n,t,p)=({n},{t},{p})"
+    estimate = parts
+    for i in range(1, parts + 1):
+        check_volume(estimate, max_volume, what)
+        estimate = estimate * (total + i) // i
 
 
 def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:

@@ -164,20 +164,6 @@ def format_stair_spec(spec: StairSpec) -> str:
     return "u={};r={}".format(",".join(map(str, spec.u)), ",".join(map(str, spec.r)))
 
 
-def parse_stair_spec(text: str) -> StairSpec:
-    try:
-        upart, rpart = text.strip().split(";")
-        ukey, uval = upart.split("=")
-        rkey, rval = rpart.split("=")
-        if ukey.strip() != "u" or rkey.strip() != "r":
-            raise ValueError
-        u = tuple(int(x) for x in uval.split(","))
-        r = tuple(int(x) for x in rval.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse stair spec {text!r}, expected like 'u=3,3,3;r=1,1,1'") from None
-    return StairSpec(u, r)
-
-
 def stair(spec: StairSpec) -> Polyomino:
     """The staircase polyomino of a spec, built from spec.cells()."""
     return Polyomino(spec.cells())

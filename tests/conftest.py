@@ -128,6 +128,22 @@ def stair_specs(draw, max_p=3, max_entry=3):
     return StairSpec(u, r)
 
 
+def parse_stair_spec(text: str) -> StairSpec:
+    """The StairSpec of text written by polyomino.format_stair_spec, such
+    as the keys of bench/golden_mixed.json."""
+    try:
+        upart, rpart = text.strip().split(";")
+        ukey, uval = upart.split("=")
+        rkey, rval = rpart.split("=")
+        if ukey.strip() != "u" or rkey.strip() != "r":
+            raise ValueError
+        u = tuple(int(x) for x in uval.split(","))
+        r = tuple(int(x) for x in rval.split(","))
+    except ValueError:
+        raise ValueError(f"cannot parse stair spec {text!r}, expected like 'u=3,3,3;r=1,1,1'") from None
+    return StairSpec(u, r)
+
+
 def forbid_calls(monkeypatch, *functions):
     """Make each of functions raise under every name that a fusscat module
     holds it by, for the rest of the test."""
@@ -158,15 +174,21 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
+def run_python(source: str, *argv) -> subprocess.CompletedProcess:
+    """Run source with argv in a fresh interpreter that imports the
+    fusscat under test."""
+    src = str(Path(fusscat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", source, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 def run_probe(*argv) -> tuple[int, str, set[str]]:
     """main(argv) in a fresh interpreter: its exit code, what it wrote to
     stdout, and the modules that the import of fusscat.cli and the run
     loaded."""
-    src = str(Path(fusscat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = run_python(IMPORT_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     # main's own output comes first, then the exit line and the modules
     out, _, tail = ("\n" + proc.stdout).rpartition("\nexit ")

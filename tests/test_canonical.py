@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import compositions, forbid_stair_builds, ladder_paths, stair_specs
+from conftest import (compositions, forbid_stair_builds, ladder_paths, parse_stair_spec,
+                      stair_specs)
 from fusscat.brackets import enum_volume, enumerate_A, gfc
 from fusscat.canonical import (
     CanonicalGenerator,
@@ -26,7 +27,7 @@ from fusscat.canonical import (
 from fusscat.caps import SearchCapExceeded
 from fusscat.cone import contains, edge_vector, in_relint, stair_cone
 from fusscat.exactmat import binomial
-from fusscat.polyomino import StairSpec, krull_dim, parse_stair_spec, stair, vertex_set
+from fusscat.polyomino import StairSpec, krull_dim, stair, vertex_set
 from fusscat.selftest import iter_stair_specs, load_generator_golden
 
 GOLDEN_MIXED = Path(__file__).resolve().parent.parent / "bench" / "golden_mixed.json"

@@ -1,15 +1,20 @@
+import ast
+import io
 import json
 import math
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import forbid_calls, forbid_stair_builds, run_probe
-from fusscat import brackets, canonical
+from conftest import forbid_calls, forbid_stair_builds, run_probe, run_python
+from fusscat import brackets, canonical, paths
+from fusscat.caps import GFC_METHODS
 from fusscat.cli import json_text, main
 from fusscat.polyomino import Polyomino, StairSpec, is_convex, render_ascii, stair
 
@@ -164,17 +169,34 @@ class TestHilbertCommand:
         from fusscat import canonical
 
         calls = []
-        hilbert_function = canonical.hilbert_function
+        hilbert_numerator = canonical.hilbert_numerator
 
         def counting(spec, degree_max, max_volume=None):
             calls.append(degree_max)
-            return hilbert_function(spec, degree_max, max_volume)
+            return hilbert_numerator(spec, degree_max, max_volume)
 
-        monkeypatch.setattr(canonical, "hilbert_function", counting)
+        monkeypatch.setattr(canonical, "hilbert_numerator", counting)
         doc = run_json(capsys, "hilbert", "--u", "3,3,3", "--r", "1,1,1",
                        "--dmax", "3")
         assert doc["numerator"] == [1, 18, 66, 55]
         assert calls == [3]
+
+    def test_zero_tail_is_not_multiplied(self, capsys, monkeypatch):
+        # s = 18 for u = r = 9,9: H up to degree 2000 takes the 19
+        # coefficients h_0 .. h_18, not the 2001 of the padded numerator
+        calls = []
+        times_series = canonical._times_series
+
+        def spying(poly, series):
+            calls.append((len(poly), len(series)))
+            return times_series(poly, series)
+
+        monkeypatch.setattr(canonical, "_times_series", spying)
+        doc = run_json(capsys, "hilbert", "--u", "9,9", "--r", "9,9", "--dmax", "2000")
+        assert StairSpec((9, 9), (9, 9)).top_degree() == 18
+        assert calls == [(19, 2001)]
+        assert len(doc["numerator"]) == 2001
+        assert doc["numerator"][18] > 0 and not any(doc["numerator"][19:])
 
     @pytest.mark.parametrize("u,r,dmax", [
         ("3,3,3", "1,1,1", 7), ("2,1", "1,2", 9), ("1", "5", 4), ("4,1,3", "2,2,1", 12)])
@@ -382,6 +404,34 @@ class TestImportContract:
         assert "fusscat.selftest" in modules
         assert not modules & {"dataclasses", "inspect"}
 
+    @pytest.mark.parametrize("argv", [
+        ("hilbert", "--u", "3,3,3", "--r", "1,1,1", "--dmax", "3"),
+        ("canonical", "--n", "3", "--t", "1", "--p", "3"),
+    ], ids=["hilbert", "canonical-closed"])
+    def test_canonical_runs_without_brackets(self, argv):
+        code, modules = loaded_modules(*argv)
+        assert code == 0
+        assert "fusscat.canonical" in modules
+        assert "fusscat.brackets" not in modules
+
+    def test_canonical_imports_no_brackets(self):
+        proc = run_python("import sys, fusscat.canonical; print(*sorted(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stdout.split())
+        assert "fusscat.canonical" in modules
+        assert "fusscat.brackets" not in modules
+
+    def test_brackets_imports_at_module_top(self):
+        tree = ast.parse(Path(brackets.__file__).read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        assert functions
+        for function in functions:
+            assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
+                           for node in ast.walk(function)), function.name
+        # the enum cap lives in paths, and brackets still offers it
+        assert brackets.enum_volume is paths.enum_volume
+        assert brackets.check_enum is paths.check_enum
+
     def test_validation_error_loads_no_library_module(self):
         code, modules = loaded_modules("canonical", "--n", "3", "--t", "1")
         assert code == 1
@@ -427,3 +477,66 @@ class TestJsonEmitter:
                 assert plain == doc
                 count += 1
         assert count == 819
+
+
+# sizes in -3..8, drawn from 1..8 more often than not, so that most
+# argvs get past validation into the library
+SIZES = st.integers(1, 8) | st.integers(-3, 8)
+# per subcommand but selftest (two forms of canonical): the options of a
+# well-formed request, and options it may add, each with its values: a
+# size, a list of sizes (list), a choice, or a flag (None)
+REQUESTS = [
+    ("gfc", {"--n": SIZES, "--t": SIZES, "--p": SIZES},
+     {"--method": st.sampled_from(("all", *GFC_METHODS, "bogus"))}),
+    ("paths", {"--a": list},
+     {"--b": list, "--method": st.sampled_from(("dp", "det", "enumerate"))}),
+    ("polyomino", {"--u": list, "--r": list}, {"--render": None}),
+    ("cone-verify", {"--u": list, "--r": list}, {}),
+    ("canonical", {"--n": SIZES, "--t": SIZES, "--p": SIZES}, {"--dmax": SIZES}),
+    ("canonical", {"--u": list, "--r": list, "--dmax": SIZES}, {"--n": SIZES}),
+    ("hilbert", {"--u": list, "--r": list, "--dmax": SIZES}, {}),
+]
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of optional --max-volume and --format, then a subcommand
+    whose request drops each option it needs one time in ten and adds
+    each optional one half the time. Every value is joined to its option by
+    "=", so that a negative one stays a value. A list has 0 to 5 sizes,
+    and the lists of one argv share a length more often than not."""
+    argv = []
+    if draw(st.booleans()):
+        argv.append(f"--max-volume={draw(st.integers(0, 10 ** 4))}")
+    if draw(st.booleans()):
+        argv.append(f"--format={draw(st.sampled_from(('json', 'csv', 'text')))}")
+    command, needed, optional = draw(st.sampled_from(REQUESTS))
+    argv.append(command)
+    length = draw(st.integers(0, 5))
+    lists = st.lists(SIZES, min_size=length, max_size=length) | st.lists(SIZES, max_size=5)
+    options = {o: v for o, v in needed.items() if draw(st.integers(0, 9))}
+    options.update((o, v) for o, v in optional.items() if draw(st.booleans()))
+    for option, values in options.items():
+        if values is None:
+            argv.append(option)
+        elif values is list:
+            argv.append(f"{option}={','.join(map(str, draw(lists)))}")
+        else:
+            argv.append(f"{option}={draw(values)}")
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_argvs())
+    def test_exit_contract(self, argv):
+        # an answer (0), a validation error (1) or a refusal (2), never an
+        # exception; a nonzero exit writes nothing to stdout and says why
+        # on stderr
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith({1: "error:", 2: "refused:"}[code]), argv

@@ -12,14 +12,13 @@ from fusscat.polyomino import (
     inner_intervals,
     is_convex,
     krull_dim,
-    parse_stair_spec,
     render_ascii,
     stair,
     vertex_set,
 )
 from fusscat.selftest import check_inner_minor_identity
 
-from conftest import stair_specs
+from conftest import parse_stair_spec, stair_specs
 
 GOLDEN = Path(__file__).parent / "golden"
 
