@@ -16,45 +16,28 @@ lexicographic and deterministic so listings can be diffed. The enum
 route lists no composition: it walks the listing's prefix-sum tree only
 to the last bounded prefix sum, (p-1)*t, and counts the t+1 free entries
 after it by one binomial difference per node
-(paths.count_bounded_compositions), under the listing's cap. That cap,
-enum_volume and check_enum, lives in paths next to the walker and is
-imported here with the canonical route, which imports nothing from
-this module.
+(paths.count_bounded_compositions), under the listing's cap. The
+walk's arguments, the triple check and that cap come from
+paths.composition_walk with shift 0; canonical lists its generators
+from the same call with shift 1 and imports nothing from this module.
+Each route checks its own cap as it starts, so a request for all four
+runs them in GFC_METHODS order until the first refusal.
 """
 
 from __future__ import annotations
 
-from .canonical import check_turn_count, cm_type_stair
+from .canonical import cm_type_stair
 from .caps import GFC_METHODS
-from .paths import (check_dp, check_enum, count_bounded_compositions, count_paths_det,
-                    count_paths_dp, enum_volume, iter_bounded_compositions, staircase_bounds,
-                    validate_triple)
-from .polyomino import StairSpec
-
-
-def check_methods(n: int, t: int, p: int, max_volume: int | None = None):
-    """Raise SearchCapExceeded for the first method, in GFC_METHODS
-    order, whose cap estimate exceeds the cap, so that a request for all
-    of them is refused before any of them runs. det has no cap."""
-    validate_triple(n, t, p)
-    check_enum(n, t, p, max_volume)
-    check_dp(staircase_bounds(n, t, p), max_volume)
-    check_turn_count(StairSpec.uniform(n, t, p), max_volume)
-
-
-def _walk_args(n: int, t: int, p: int, max_volume: int | None = None):
-    """The arguments (total, parts, minimum, upper) of the composition
-    walk over A(n, t, p), after validation and under the cap of
-    check_enum."""
-    validate_triple(n, t, p)
-    check_enum(n, t, p, max_volume)
-    return p * (n - t), p * t + 1, 0, {k * t: k * (n - t) for k in range(1, p)}
+# enum_volume and check_enum are re-exported: they cap the enum route
+from .paths import (check_enum, composition_walk, count_bounded_compositions,
+                    count_paths_det, count_paths_dp, enum_volume, iter_bounded_compositions,
+                    staircase_bounds, validate_triple)
 
 
 def iter_A(n: int, t: int, p: int, max_volume: int | None = None):
     """Yield the admissible composition vectors in lexicographic order,
     under the cap of check_enum."""
-    yield from iter_bounded_compositions(*_walk_args(n, t, p, max_volume))
+    yield from iter_bounded_compositions(*composition_walk(n, t, p, 0, max_volume))
 
 
 def enumerate_A(n: int, t: int, p: int, max_volume: int | None = None):
@@ -67,7 +50,7 @@ def gfc(n: int, t: int, p: int, method: str = "det",
     """The bracket value for (n, t, p) by the requested method."""
     validate_triple(n, t, p)
     if method == "enum":
-        return count_bounded_compositions(*_walk_args(n, t, p, max_volume))
+        return count_bounded_compositions(*composition_walk(n, t, p, 0, max_volume))
     if method == "dp":
         return count_paths_dp(staircase_bounds(n, t, p), max_volume)
     if method == "det":

@@ -7,7 +7,9 @@ the exponent cone, and for the uniform staircase (u_i = n, r_i = t)
 those generators have a closed form: x^alpha * y_1...y_{pn+1} with
 every alpha_i >= 1, sum(alpha) = p*n + 1 and the prefix sums
 sum(alpha[:k*t]) <= k*n for k = 1..p-1. Shifting alpha down by one
-lands exactly on the composition model of the bracket.
+lands exactly on the composition model of the bracket, so
+stair_generators lists them by the bracket's own walk with every entry
+raised by one (paths.composition_walk with shift 1), under the same cap.
 
 The Cohen-Macaulay type is computed without those compositions. The
 ring is a one-sided ladder determinantal ring, so the coefficient h_k
@@ -44,7 +46,7 @@ from operator import add, mul
 
 from .caps import check_volume
 from .exactmat import binomial
-from .paths import check_enum, iter_bounded_compositions, validate_triple
+from .paths import composition_walk, iter_bounded_compositions, validate_triple
 from .polyomino import ExpVec, StairSpec
 
 
@@ -75,14 +77,14 @@ def stair_generators(n: int, t: int, p: int,
                      max_volume: int | None = None) -> list[CanonicalGenerator]:
     """All canonical-module generators of the uniform staircase ring,
     lexicographically sorted by alpha: the bracket's compositions
-    shifted up by one, refused under the same cap (check_enum). They
-    are listed directly, as the compositions of p*n + 1 into p*t + 1
-    parts >= 1 with sum(alpha[:k*t]) <= k*n for k = 1..p-1."""
-    validate_triple(n, t, p)
-    check_enum(n, t, p, max_volume)
-    y_len = p * n + 1
-    upper = {k * t: k * n for k in range(1, p)}
-    alphas = iter_bounded_compositions(p * n + 1, p * t + 1, 1, upper)
+    shifted up by one, listed directly by the bracket's walk with shift 1
+    (paths.composition_walk), under the same cap. They are the
+    compositions of p*n + 1 into p*t + 1 parts >= 1 with
+    sum(alpha[:k*t]) <= k*n for k = 1..p-1."""
+    walk = composition_walk(n, t, p, 1, max_volume)
+    # the walk's total, p*n + 1, is also the length of y
+    y_len = walk[0]
+    alphas = iter_bounded_compositions(*walk)
     # tuple.__new__ builds each named tuple at C speed
     return list(map(tuple.__new__, repeat(CanonicalGenerator), zip(alphas, repeat(y_len))))
 
@@ -112,7 +114,7 @@ def top_turn_count(spec: StairSpec, max_volume: int | None = None) -> tuple[int,
     highest-degree top terms. It visits each vertex once and is refused
     when the vertex count exceeds the cap.
     """
-    check_turn_count(spec, max_volume)
+    check_volume(spec.vertex_count(), max_volume, what="ladder turn-count DP")
     # a column 0 that holds just the start, the empty path
     T = [(0, 1)]
     for top in spec.column_tops():
@@ -134,11 +136,6 @@ def top_turn_count(spec: StairSpec, max_volume: int | None = None) -> tuple[int,
         column += [column[-1]] * (top - len(column))
         T = column
     return T[-1]
-
-
-def check_turn_count(spec: StairSpec, max_volume: int | None = None):
-    """Refuse top_turn_count on spec when its vertex count exceeds the cap."""
-    check_volume(spec.vertex_count(), max_volume, what="ladder turn-count DP")
 
 
 def minimal_generators_search(spec: StairSpec, degree_max: int,

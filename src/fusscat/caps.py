@@ -8,7 +8,8 @@ count), never the true output size, so refusals are conservative.
 
 DEFAULT_MAX_VOLUME = 10_000_000
 
-# The routes of brackets.gfc, in the order check_methods tries their caps.
+# The routes of brackets.gfc, in the order gfc --method all runs them; each
+# checks its own cap as it starts, and the first refusal ends the request.
 # They live here, with no import, so that the CLI's argument parser can
 # list them without loading the bracket's modules.
 GFC_METHODS = ("enum", "dp", "det", "canonical")

@@ -112,7 +112,6 @@ def _run_gfc(args) -> dict:
     from . import brackets
 
     if args.method == "all":
-        brackets.check_methods(args.n, args.t, args.p, args.max_volume)
         values = {m: brackets.gfc(args.n, args.t, args.p, m, args.max_volume)
                   for m in GFC_METHODS}
         agree = len(set(values.values())) == 1

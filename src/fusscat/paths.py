@@ -12,10 +12,11 @@ and folds the last level run into one weighted sum, capped on its
 n * (a_n - b_1 + 1) cells; the binomial determinant identity, by the
 leading-minor recurrence of its Hessenberg matrix from the end of the
 first level run on, reading only the entries on and above the
-subdiagonal and building no matrix, each column the last one shifted
-down a row while b stays level, with one binomial step per run of equal
-a; and, for small instances, exhaustive enumeration on the package's one
-composition walker, _walk.
+subdiagonal and building no matrix (_columns: the start column, and
+one where b changes, by binomials; any other the last one shifted down
+a row, with one binomial step per run of equal a); and, for small
+instances, exhaustive enumeration on the package's one composition
+walker, _walk.
 
 _walk visits the internal nodes of the prefix-sum tree of the bounded
 compositions. A node is a fixed prefix of prefix sums plus the range
@@ -26,10 +27,13 @@ bracket's compositions, the canonical-module generators and the search's
 lattice points), count_bounded_compositions walks only to the last
 bounded prefix sum and counts the free tail by one binomial difference
 per node, without building a tuple (the bracket's enum route), and
-iter_height_sequences reads the heights off the prefix sums. The
-bracket's triple check and the cap of its composition listing
-(validate_triple, enum_volume, check_enum) sit here too, so that
-canonical and brackets both take them from this module.
+iter_height_sequences reads the heights off the prefix sums. The walk
+over the bracket's set A(n, t, p) is set up in one place,
+composition_walk: it checks the triple (validate_triple), refuses under
+the listing's cap (enum_volume, check_enum) and gives the walk's
+arguments with every entry raised by a shift, 0 for the bracket's
+compositions and 1 for the canonical generators, so that brackets and
+canonical both take it from this module.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ def enum_volume(n: int, t: int, p: int) -> int:
 
 
 def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
-    """Refuse iter_A(n, t, p) and gfc(n, t, p, "enum") when enum_volume
+    """Refuse the walk over A(n, t, p) (composition_walk) when enum_volume
     exceeds the cap, at the first of its increasing partial products
     binom(total + i, i) * parts above it, without the exact binomial."""
     parts = p * t + 1
@@ -107,6 +111,25 @@ def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
         estimate = estimate * (total + i) // i
 
 
+def composition_walk(n: int, t: int, p: int, shift: int, max_volume: int | None = None):
+    """The arguments (total, parts, minimum, upper) of the composition
+    walk over A(n, t, p) with every entry raised by shift, after
+    validate_triple and under the cap of check_enum.
+
+    A(n, t, p) holds the compositions of p*(n - t) into p*t + 1 parts
+    whose first k*t entries sum to at most k*(n - t), k = 1..p-1. Raising
+    each entry by shift adds shift*(p*t + 1) to the total and shift*k*t
+    to each bound: shift 0 walks the bracket's compositions (iter_A and
+    the enum route), shift 1 the exponents of the canonical generators
+    (stair_generators), the same tree node for node.
+    """
+    validate_triple(n, t, p)
+    check_enum(n, t, p, max_volume)
+    parts = p * t + 1
+    upper = {k * t: k * (n - t + shift * t) for k in range(1, p)}
+    return p * (n - t) + shift * parts, parts, shift, upper
+
+
 def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:
     """Bounds for the staircase family: a_i = ceil(i/t)*(n-t), b_i = 0.
 
@@ -116,13 +139,6 @@ def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:
     validate_triple(n, t, p)
     a = tuple(chain.from_iterable(repeat(k * (n - t), t) for k in range(1, p + 1)))
     return HeightBounds(a, (0,) * (p * t))
-
-
-def check_dp(bounds: HeightBounds, max_volume: int | None = None):
-    """Refuse count_paths_dp on bounds when its n * (a_n - b_1 + 1) cells
-    exceed the cap."""
-    check_volume(bounds.n * (bounds.a[-1] - bounds.b[0] + 1), max_volume,
-                 what="path-count DP (--method det has no cap)")
 
 
 def _first_run(a, b) -> int:
@@ -147,9 +163,10 @@ def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     staircase bounds, a in p runs of t and b level, that leaves the rows
     of the p - 2 middle runs.
     """
-    check_dp(bounds, max_volume)
     a, b = bounds.a, bounds.b
     n = bounds.n
+    check_volume(n * (a[-1] - b[0] + 1), max_volume,
+                 what="path-count DP (--method det has no cap)")
     lo = b[0]
     r = _first_run(a, b)
     s = n - 1
@@ -187,23 +204,13 @@ def _columns(a, b, first: int = 0):
     N = a_i - b_k + 1 and K = k - i + 1. A zero entry (N < 0 or K > N)
     stays zero under both moves, so this keeps the zero convention. On
     staircase bounds a has p runs, so a column costs one list shift and
-    at most p steps. Only the first column, and a column where b changes,
-    call binomial. A first column past 0 must lie in the first level run
-    (a_i = a_0 and b_i = b_0 for i < first); the column before it,
-    binom(a_0 - b_0 + 1, first - i), is built by the same steps.
+    at most p steps. The start column, and a column where b changes, are
+    built entry by entry with binomial, so any first is allowed.
     """
     starts = [i for i in range(len(a)) if i == 0 or a[i] != a[i - 1]]
-    col = [1]
-    if first:
-        # binom(N, K) for N = a_0 - b_0 + 1 and K = 0..first, then column
-        # first - 1 is its entries K = first..1
-        top = a[0] - b[0] + 1
-        for K in range(1, first + 1):
-            col.append(col[-1] * (top - K + 1) // K)
-    col = col[:0:-1]
     for k in range(first, len(b)):
         bk = b[k]
-        if k and bk == b[k - 1]:
+        if k > first and bk == b[k - 1]:
             prev = col
             col = [0, *prev]
             # N - K + 1 = (a_i + i) - (b_k + k - 1)

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import compositions
 from fusscat import brackets, canonical, paths, selftest
 from fusscat.brackets import GFC_METHODS, check_symmetry, enumerate_A, gfc
 from fusscat.caps import SearchCapExceeded
+from fusscat.cli import main
 from fusscat.exactmat import binomial, fuss_catalan
 
 
@@ -155,18 +157,36 @@ class TestIndependentRoutes:
 
 
 class TestCheckMethods:
-    def test_first_refusing_method_in_order(self, monkeypatch):
+    """Each route checks its own cap as it starts; gfc --method all runs the
+    routes in GFC_METHODS order, and the first one over its cap ends the
+    request."""
+
+    @staticmethod
+    def run_all(capsys, cap, n, t, p):
+        code = main(["--max-volume", str(cap), "gfc", "--n", str(n), "--t", str(t),
+                     "--p", str(p), "--method", "all"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_first_refusing_method_in_order(self, capsys):
         # (3, 2, 1): enum's estimate 3 compositions x 3 entries, dp's 4
         # cells, canonical's 12 vertices
-        brackets.check_methods(3, 2, 1, max_volume=12)
+        code, out, err = self.run_all(capsys, 12, 3, 2, 1)
+        assert code == 0, err
+        assert json.loads(out)["per_method"] == dict.fromkeys(GFC_METHODS, "3")
         for cap, what in ((11, "ladder turn-count DP"), (8, "composition enumeration")):
-            with pytest.raises(SearchCapExceeded, match=what):
-                brackets.check_methods(3, 2, 1, max_volume=cap)
-        # enum's estimate is above dp's, so only with enum's check gone
-        # does dp's refusal show
-        monkeypatch.setattr(brackets, "check_enum", lambda *args: None)
-        with pytest.raises(SearchCapExceeded, match="path-count DP"):
-            brackets.check_methods(3, 2, 1, max_volume=3)
+            code, out, err = self.run_all(capsys, cap, 3, 2, 1)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"refused: refusing {what}")
+            assert err.count("\n") == 1
+
+    def test_refused_after_earlier_routes_answer(self, capsys):
+        # (20, 1, 1): enum's estimate 20 compositions x 2 entries and dp's
+        # 20 cells fit a cap of 40, the turn-count DP's vertices do not
+        code, out, err = self.run_all(capsys, 40, 20, 1, 1)
+        assert (code, out) == (2, "")
+        assert err.startswith("refused: refusing ladder turn-count DP")
+        assert gfc(20, 1, 1, "enum", max_volume=40) == gfc(20, 1, 1, "dp", max_volume=40)
 
     def test_estimates_are_the_routes_own(self):
         # each route answers at the estimate the pre-check uses, and is
@@ -177,9 +197,10 @@ class TestCheckMethods:
                 gfc(3, 2, 1, method, max_volume=volume - 1)
             assert refused.value.estimate == volume
 
-    def test_validates_the_triple(self):
-        with pytest.raises(ValueError):
-            brackets.check_methods(3, 3, 1)
+    def test_validates_the_triple(self, capsys):
+        code, out, err = self.run_all(capsys, 12, 3, 3, 1)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: require 1 <= t < n")
 
     def test_refusal_past_the_str_digit_limit(self):
         # enum is refused at its first partial product above the cap,

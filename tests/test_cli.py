@@ -310,20 +310,30 @@ class TestExitCodes:
         doc = run_json(capsys, "--max-volume", "16", "cone-verify", "--u", "1", "--r", "1")
         assert doc["all_passed"] is True
 
-    def test_gfc_all_refuses_before_any_method_runs(self, capsys, monkeypatch):
+    def test_gfc_all_runs_the_routes_up_to_the_refusing_one(self, capsys, monkeypatch):
         # enum's estimate binom(4, 1) * 2 = 8 and dp's 4 cells fit a cap of
-        # 9, the turn-count DP's 10 vertices do not
-        def refuse(*args, **kwargs):
-            raise AssertionError("a method ran")
+        # 9, the turn-count DP's 10 vertices do not: enum, dp and det run,
+        # then canonical is refused as it starts
+        ran = []
 
-        for name in ("iter_A", "count_bounded_compositions", "count_paths_dp", "count_paths_det"):
-            monkeypatch.setattr(brackets, name, refuse)
-        monkeypatch.setattr(canonical, "top_turn_count", refuse)
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                ran.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("count_bounded_compositions", "count_paths_dp", "count_paths_det"):
+            spy(brackets, name)
+        spy(canonical, "top_turn_count")
         code, out, err = run_cli(capsys, "--max-volume", "9", "gfc", "--n", "4",
                                  "--t", "1", "--p", "1")
         assert code == 2
         assert out == ""
         assert err.startswith("refused: refusing ladder turn-count DP: estimated volume 10 ")
+        assert ran == ["count_bounded_compositions", "count_paths_dp", "count_paths_det",
+                       "top_turn_count"]
 
     @pytest.mark.parametrize("argv,fragment", [
         (("--max-volume", "-5", "gfc", "--n", "3", "--t", "1", "--p", "3"),

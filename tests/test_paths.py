@@ -177,11 +177,13 @@ class TestAgreementProperties:
     def test_columns_match_entry_formula(self, bounds):
         # _columns shifts a column from the last one while b stays level,
         # steps the rows that start a run of equal a, and calls binomial
-        # where b changes
+        # at its start column and where b changes; it may start at any
+        # column, inside or past the first level run
         a, b = bounds.a, bounds.b
         expected = [[binomial(a[i] - b[k] + 1, k - i + 1) for i in range(k + 1)]
                     for k in range(bounds.n)]
-        assert list(_columns(a, b)) == expected
+        for first in range(bounds.n + 1):
+            assert list(_columns(a, b, first)) == expected[first:]
         assert count_paths_det(bounds) == count_paths_dp(bounds)
 
     # level runs (equal a_i and equal b_i) that the DP and the determinant
