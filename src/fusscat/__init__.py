@@ -18,9 +18,9 @@ _EXPORTS = {
     **dict.fromkeys(("DEFAULT_MAX_VOLUME", "SearchCapExceeded"), "caps"),
     **dict.fromkeys(("Matrix", "binomial", "det_exact", "fuss_catalan", "rank_exact"),
                     "exactmat"),
-    **dict.fromkeys(("check_symmetry", "enumerate_A", "gfc"), "brackets"),
-    **dict.fromkeys(("HeightBounds", "count_paths_det", "count_paths_dp",
-                     "enumerate_height_sequences", "staircase_bounds"), "paths"),
+    "gfc": "brackets",
+    **dict.fromkeys(("HeightBounds", "count_paths_det", "count_paths_dp", "staircase_bounds"),
+                    "paths"),
     **dict.fromkeys(("Polyomino", "StairSpec", "inner_intervals", "is_convex", "krull_dim",
                      "render_ascii", "stair", "vertex_set"), "polyomino"),
     **dict.fromkeys(("ConeRep", "contains", "edge_vector", "facet_check", "in_relint",

@@ -20,35 +20,29 @@ after it by one binomial difference per node
 walk's arguments, the triple check and that cap come from
 paths.composition_walk with shift 0; canonical lists its generators
 from the same call with shift 1 and imports nothing from this module.
-Each route checks its own cap as it starts, so a request for all four
-runs them in GFC_METHODS order until the first refusal.
+Each route validates the triple and refuses under its own cap as it
+starts (composition_walk, staircase_bounds, cm_type_stair), so a
+request for all four runs them in GFC_METHODS order until the first
+refusal.
 """
 
 from __future__ import annotations
 
 from .canonical import cm_type_stair
 from .caps import GFC_METHODS
-# enum_volume and check_enum are re-exported: they cap the enum route
-from .paths import (check_enum, composition_walk, count_bounded_compositions,
-                    count_paths_det, count_paths_dp, enum_volume, iter_bounded_compositions,
-                    staircase_bounds, validate_triple)
+from .paths import (composition_walk, count_bounded_compositions, count_paths_det,
+                    count_paths_dp, iter_bounded_compositions, staircase_bounds)
 
 
 def iter_A(n: int, t: int, p: int, max_volume: int | None = None):
     """Yield the admissible composition vectors in lexicographic order,
-    under the cap of check_enum."""
+    under the cap of paths.check_enum."""
     yield from iter_bounded_compositions(*composition_walk(n, t, p, 0, max_volume))
-
-
-def enumerate_A(n: int, t: int, p: int, max_volume: int | None = None):
-    """All admissible composition vectors, lexicographically sorted."""
-    return list(iter_A(n, t, p, max_volume))
 
 
 def gfc(n: int, t: int, p: int, method: str = "det",
         max_volume: int | None = None) -> int:
     """The bracket value for (n, t, p) by the requested method."""
-    validate_triple(n, t, p)
     if method == "enum":
         return count_bounded_compositions(*composition_walk(n, t, p, 0, max_volume))
     if method == "dp":
@@ -58,26 +52,3 @@ def gfc(n: int, t: int, p: int, method: str = "det",
     if method == "canonical":
         return cm_type_stair(n, t, p, max_volume)
     raise ValueError(f"unknown method {method!r}, expected one of {GFC_METHODS}")
-
-
-def check_symmetry(n: int, p: int, method: str = "det") -> dict:
-    """Compare the bracket at t and n-t for every t.
-
-    Returns a report dict with one entry per t in [1, n-1] and an
-    aggregate flag.
-    """
-    if n < 2:
-        raise ValueError(f"require n >= 2, got n={n}")
-    if p < 1:
-        raise ValueError(f"require p >= 1, got p={p}")
-    pairs = []
-    all_equal = True
-    for t in range(1, n):
-        value = gfc(n, t, p, method)
-        mirror = gfc(n, n - t, p, method)
-        equal = value == mirror
-        all_equal = all_equal and equal
-        pairs.append({"t": t, "value": str(value), "mirror_t": n - t,
-                      "mirror_value": str(mirror), "equal": equal})
-    return {"n": n, "p": p, "method": method, "pairs": pairs,
-            "all_equal": all_equal}

@@ -99,13 +99,10 @@ def build_parser() -> _Parser:
 
 
 def _spec(args):
-    """The StairSpec of --u/--r; a bad one is a validation error."""
+    """The StairSpec of --u/--r; a bad one raises ValueError, exit 1."""
     from .polyomino import StairSpec
 
-    try:
-        return StairSpec(args.u, args.r)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return StairSpec(args.u, args.r)
 
 
 def _run_gfc(args) -> dict:
@@ -134,7 +131,7 @@ def _run_paths(args) -> dict:
                 "method": "dp"}
     if args.method == "det":
         return {"count": str(paths.count_paths_det(bounds)), "method": "det"}
-    seqs = paths.enumerate_height_sequences(bounds, args.max_volume)
+    seqs = list(paths.iter_height_sequences(bounds, args.max_volume))
     return {
         "count": str(len(seqs)),
         "method": "enumerate",

@@ -11,12 +11,12 @@ accumulate, writes the row that ends the first level run in closed form
 and folds the last level run into one weighted sum, capped on its
 n * (a_n - b_1 + 1) cells; the binomial determinant identity, by the
 leading-minor recurrence of its Hessenberg matrix from the end of the
-first level run on, reading only the entries on and above the
-subdiagonal and building no matrix (_columns: the start column, and
-one where b changes, by binomials; any other the last one shifted down
-a row, with one binomial step per run of equal a); and, for small
-instances, exhaustive enumeration on the package's one composition
-walker, _walk.
+first level run on (one binomial when that run is every row), reading
+only the entries on and above the subdiagonal and building no matrix
+(_columns: the start column, and one where b changes, by binomials; any
+other the last one shifted down a row, with one binomial step per run of
+equal a); and, for small instances, exhaustive enumeration on the
+package's one composition walker, _walk.
 
 _walk visits the internal nodes of the prefix-sum tree of the bounded
 compositions. A node is a fixed prefix of prefix sums plus the range
@@ -33,7 +33,7 @@ composition_walk: it checks the triple (validate_triple), refuses under
 the listing's cap (enum_volume, check_enum) and gives the walk's
 arguments with every entry raised by a shift, 0 for the bracket's
 compositions and 1 for the canonical generators, so that brackets and
-canonical both take it from this module.
+canonical both take it, and the selftest the cap, from this module.
 """
 
 from __future__ import annotations
@@ -244,10 +244,13 @@ def count_paths_det(bounds: HeightBounds) -> int:
     each column, with no matrix built. D_k counts the paths of the first
     k bounds, so over the r rows of the first level run (a_i = a_0 and
     b_i = b_0) it is binom(a_0 - b_0 + k, k), and the recurrence starts at
-    column r.
+    column r. When that run covers every row, D_n is that binomial, and
+    no minor before it is kept.
     """
     a, b = bounds.a, bounds.b
     r = _first_run(a, b)
+    if r == bounds.n:
+        return binomial(a[0] - b[0] + r, r)
     # alt[i] = (-1)^i D_i, so that each minor is one sum of products:
     # D_(k+1) = (-1)^k sum_(i<=k) M[i][k] alt[i] (0-based rows)
     alt = [1]
@@ -397,7 +400,3 @@ def iter_height_sequences(bounds: HeightBounds, max_volume: int | None = None):
         head = tuple([base + h for h in prefix[1:n]] if base else prefix[1:n])
         for y in range(span.start + base, span.stop + base):
             yield head + (y,)
-
-
-def enumerate_height_sequences(bounds: HeightBounds, max_volume: int | None = None):
-    return list(iter_height_sequences(bounds, max_volume))

@@ -72,17 +72,20 @@ def check_symmetry_and_methods(n_max=6, p_max=4):
     methods over the sweep range. The sweep is fixed, so it runs under
     the estimate of its largest enumeration; at the defaults that is
     binom(24, 12) compositions of 13 entries at (6, 3, 4), above the
-    default cap (the walk there lists 1,205,961 of them)."""
+    default cap (the walk there lists 1,205,961 of them). Symmetry
+    compares the det values of the sweep at t and n - t."""
     bad = []
-    cap = max(brackets.enum_volume(n, t, p) for n in range(2, n_max + 1)
+    cap = max(paths.enum_volume(n, t, p) for n in range(2, n_max + 1)
               for p in range(1, p_max + 1) for t in range(1, n))
     for n in range(2, n_max + 1):
         for p in range(1, p_max + 1):
+            values = {}
             for t in range(1, n):
                 per_method = {m: brackets.gfc(n, t, p, m, cap) for m in brackets.GFC_METHODS}
                 if len(set(per_method.values())) != 1:
                     bad.append((n, t, p, "methods", per_method))
-            if not brackets.check_symmetry(n, p)["all_equal"]:
+                values[t] = per_method["det"]
+            if any(values[t] != values[n - t] for t in values):
                 bad.append((n, p, "symmetry"))
     return not bad, f"checked n<={n_max}, p<={p_max}, mismatches={bad!r}"
 

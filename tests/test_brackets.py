@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ import hypothesis.strategies as st
 
 from conftest import compositions
 from fusscat import brackets, canonical, paths, selftest
-from fusscat.brackets import GFC_METHODS, check_symmetry, enumerate_A, gfc
+from fusscat.brackets import GFC_METHODS, gfc, iter_A
 from fusscat.caps import SearchCapExceeded
 from fusscat.cli import main
 from fusscat.exactmat import binomial, fuss_catalan
@@ -22,17 +23,17 @@ def brute_force_bracket(n, t, p):
 
 class TestEnumerateA:
     def test_reference_count(self):
-        assert len(enumerate_A(3, 1, 3)) == 55
+        assert len(list(iter_A(3, 1, 3))) == 55
 
     def test_tiny_by_hand(self):
-        assert enumerate_A(2, 1, 1) == [(0, 1), (1, 0)]
+        assert list(iter_A(2, 1, 1)) == [(0, 1), (1, 0)]
 
     def test_stars_and_bars_when_p_is_1(self):
-        assert len(enumerate_A(5, 2, 1)) == binomial(5, 2)
+        assert len(list(iter_A(5, 2, 1))) == binomial(5, 2)
 
     def test_elements_satisfy_invariants(self):
         for n, t, p in [(3, 1, 3), (4, 2, 2), (4, 3, 2)]:
-            vecs = enumerate_A(n, t, p)
+            vecs = list(iter_A(n, t, p))
             assert vecs == sorted(vecs)
             assert len(set(vecs)) == len(vecs)
             for alpha in vecs:
@@ -44,18 +45,20 @@ class TestEnumerateA:
 
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
-            enumerate_A(6, 3, 4, max_volume=10)
+            list(iter_A(6, 3, 4, max_volume=10))
 
     @pytest.mark.parametrize("n,t,p", [(3, 0, 1), (3, 3, 1), (2, 1, 0)])
     def test_rejects_bad_parameters(self, n, t, p):
         with pytest.raises(ValueError):
-            enumerate_A(n, t, p)
+            list(iter_A(n, t, p))
 
 
 class TestBracket:
     def test_reference_values(self):
         assert gfc(3, 1, 3, "det") == 55
         assert gfc(3, 2, 3, "det") == 55
+        assert gfc(4, 1, 2) == gfc(4, 3, 2) == fuss_catalan(3, 4) == 22
+        assert gfc(4, 2, 2) == 53
 
     def test_derived_value_all_methods(self):
         assert brute_force_bracket(4, 2, 2) == 53
@@ -88,7 +91,7 @@ class TestBracket:
         for n in range(2, 6):
             for p in range(1, 4):
                 for t in range(1, n):
-                    assert len(enumerate_A(n, t, p)) == len(enumerate_A(n, n - t, p))
+                    assert len(list(iter_A(n, t, p))) == len(list(iter_A(n, n - t, p)))
 
 
 class TestIndependentRoutes:
@@ -108,7 +111,7 @@ class TestIndependentRoutes:
 
         monkeypatch.setattr(paths, "_walk", drop_first)
         assert gfc(4, 2, 2, "enum") == 38
-        assert len(enumerate_A(4, 2, 2)) == 52
+        assert len(list(iter_A(4, 2, 2))) == 52
         assert gfc(4, 2, 2, "canonical") == 53
         passed, _ = selftest.check_symmetry_and_methods(n_max=4, p_max=2)
         assert not passed
@@ -124,7 +127,7 @@ class TestIndependentRoutes:
                 yield node
 
         monkeypatch.setattr(paths, "_walk", counted)
-        cap = brackets.enum_volume(6, 3, 4)
+        cap = paths.enum_volume(6, 3, 4)
         assert gfc(6, 3, 4, "enum", cap) == 1_205_961
         assert len(nodes) == 10_580
         nodes.clear()
@@ -143,6 +146,20 @@ class TestIndependentRoutes:
         passed, detail = selftest.check_symmetry_and_methods(n_max=4, p_max=2)
         assert not passed
         assert "symmetry" in detail and "methods" not in detail
+
+    def test_criterion_3_runs_each_method_once(self, monkeypatch):
+        # symmetry reads the det values that the agreement check computed
+        exact, calls = brackets.gfc, []
+
+        def counted(n, t, p, *args):
+            calls.append((n, t, p))
+            return exact(n, t, p, *args)
+
+        monkeypatch.setattr(brackets, "gfc", counted)
+        passed, _ = selftest.check_symmetry_and_methods(n_max=4, p_max=2)
+        assert passed
+        assert Counter(calls) == {(n, t, p): 4 for n in range(2, 5) for t in range(1, n)
+                                  for p in (1, 2)}
 
     def test_canonical_walks_no_compositions(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -198,9 +215,20 @@ class TestCheckMethods:
             assert refused.value.estimate == volume
 
     def test_validates_the_triple(self, capsys):
-        code, out, err = self.run_all(capsys, 12, 3, 3, 1)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: require 1 <= t < n")
+        # gfc checks nothing itself: each route validates as it starts,
+        # so under --method all the first route, enum, gives the message
+        for (n, t, p), message in (((3, 3, 1), "require 1 <= t < n"),
+                                   ((3, 0, 1), "require 1 <= t < n"),
+                                   ((2, 1, 0), "require p >= 1")):
+            for method in GFC_METHODS:
+                with pytest.raises(ValueError, match=message):
+                    gfc(n, t, p, method)
+            for method in ("all",) + GFC_METHODS:
+                code = main(["gfc", "--n", str(n), "--t", str(t), "--p", str(p),
+                             "--method", method])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (1, "")
+                assert captured.err.startswith(f"error: {message}")
 
     def test_refusal_past_the_str_digit_limit(self):
         # enum is refused at its first partial product above the cap,
@@ -217,27 +245,3 @@ class TestCheckMethods:
         volume = f"of {huge.bit_length()} bits" if 0 < limit < 6023 else str(huge)
         assert str(refusal) == ("refusing composition enumeration: estimated volume "
                                 f"{volume} exceeds cap 10000000")
-
-
-class TestSymmetryReport:
-    def test_reference_sweep(self):
-        report = check_symmetry(3, 3)
-        assert report["all_equal"]
-        assert [pair["value"] for pair in report["pairs"]] == ["55", "55"]
-
-    def test_self_paired(self):
-        report = check_symmetry(2, 5)
-        assert report["all_equal"]
-        assert len(report["pairs"]) == 1
-        assert report["pairs"][0]["mirror_t"] == 1
-
-    def test_mixed_values(self):
-        report = check_symmetry(4, 2)
-        assert report["all_equal"]
-        values = {pair["t"]: pair["value"] for pair in report["pairs"]}
-        assert values[1] == values[3] == str(fuss_catalan(3, 4)) == "22"
-        assert values[2] == "53"
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            check_symmetry(1, 1)

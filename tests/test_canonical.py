@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from conftest import (compositions, forbid_stair_builds, ladder_paths, parse_stair_spec,
                       stair_specs)
-from fusscat.brackets import enum_volume, enumerate_A, gfc
+from fusscat.brackets import gfc, iter_A
 from fusscat.canonical import (
     CanonicalGenerator,
     _hilbert_table,
@@ -27,6 +27,7 @@ from fusscat.canonical import (
 from fusscat.caps import SearchCapExceeded
 from fusscat.cone import contains, edge_vector, in_relint, stair_cone
 from fusscat.exactmat import binomial
+from fusscat.paths import enum_volume
 from fusscat.polyomino import StairSpec, krull_dim, stair, vertex_set
 from fusscat.selftest import iter_stair_specs, load_generator_golden
 
@@ -94,7 +95,7 @@ class TestClosedForm:
     def test_shift_bijection_with_composition_model(self, n, p, data):
         t = data.draw(st.integers(1, n - 1))
         shifted = [tuple(x - 1 for x in g.alpha) for g in stair_generators(n, t, p)]
-        assert shifted == enumerate_A(n, t, p)
+        assert shifted == list(iter_A(n, t, p))
 
     def test_monomial_strings(self):
         g = CanonicalGenerator((1, 1, 1, 7), 10)
@@ -111,9 +112,9 @@ class TestClosedForm:
         for n, t, p in ((3, 1, 3), (3, 2, 3), (5, 2, 2), (4, 2, 3)):
             cap = enum_volume(n, t, p)
             assert [g.alpha for g in stair_generators(n, t, p, cap)] == [
-                tuple(x + 1 for x in A) for A in enumerate_A(n, t, p, cap)]
+                tuple(x + 1 for x in A) for A in list(iter_A(n, t, p, cap))]
             with pytest.raises(SearchCapExceeded) as want:
-                enumerate_A(n, t, p, cap - 1)
+                list(iter_A(n, t, p, cap - 1))
             with pytest.raises(SearchCapExceeded) as got:
                 stair_generators(n, t, p, cap - 1)
             assert got.value.estimate == want.value.estimate == cap

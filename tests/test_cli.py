@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import forbid_calls, forbid_stair_builds, run_probe, run_python
-from fusscat import brackets, canonical, paths
+from fusscat import brackets, canonical
 from fusscat.caps import GFC_METHODS
 from fusscat.cli import json_text, main
 from fusscat.polyomino import Polyomino, StairSpec, is_convex, render_ascii, stair
@@ -438,9 +438,6 @@ class TestImportContract:
         for function in functions:
             assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
                            for node in ast.walk(function)), function.name
-        # the enum cap lives in paths, and brackets still offers it
-        assert brackets.enum_volume is paths.enum_volume
-        assert brackets.check_enum is paths.check_enum
 
     def test_validation_error_loads_no_library_module(self):
         code, modules = loaded_modules("canonical", "--n", "3", "--t", "1")

@@ -22,9 +22,8 @@ from fusscat.polyomino import InnerInterval, Polyomino, StairSpec, inner_interva
 EXPORTS = {
     "caps": ("DEFAULT_MAX_VOLUME", "SearchCapExceeded"),
     "exactmat": ("Matrix", "binomial", "det_exact", "fuss_catalan", "rank_exact"),
-    "brackets": ("check_symmetry", "enumerate_A", "gfc"),
-    "paths": ("HeightBounds", "count_paths_det", "count_paths_dp",
-              "enumerate_height_sequences", "staircase_bounds"),
+    "brackets": ("gfc",),
+    "paths": ("HeightBounds", "count_paths_det", "count_paths_dp", "staircase_bounds"),
     "polyomino": ("Polyomino", "StairSpec", "inner_intervals", "is_convex", "krull_dim",
                   "render_ascii", "stair", "vertex_set"),
     "cone": ("ConeRep", "contains", "edge_vector", "facet_check", "in_relint",

@@ -12,7 +12,6 @@ from fusscat.paths import (
     count_bounded_compositions,
     count_paths_det,
     count_paths_dp,
-    enumerate_height_sequences,
     iter_bounded_compositions,
     iter_height_sequences,
     path_count_matrix,
@@ -82,7 +81,7 @@ class TestCounters:
         assert path_count_matrix(HeightBounds((0, 5), (0, 3)))[0] == (1, 0)
         assert (
             count_paths_det(HeightBounds((0, 5), (0, 3)))
-            == len(enumerate_height_sequences(HeightBounds((0, 5), (0, 3))))
+            == len(list(iter_height_sequences(HeightBounds((0, 5), (0, 3)))))
             == 3
         )
 
@@ -97,20 +96,20 @@ class TestCounters:
     def test_negative_heights_allowed(self):
         bounds = HeightBounds((-1, 2), (-3, -2))
         assert count_paths_dp(bounds) == count_paths_det(bounds)
-        assert count_paths_dp(bounds) == len(enumerate_height_sequences(bounds))
+        assert count_paths_dp(bounds) == len(list(iter_height_sequences(bounds)))
 
 
 class TestEnumeration:
     def test_single_step(self):
-        assert enumerate_height_sequences(HeightBounds((1,), (0,))) == [(0,), (1,)]
+        assert list(iter_height_sequences(HeightBounds((1,), (0,)))) == [(0,), (1,)]
 
     def test_listing(self):
-        assert enumerate_height_sequences(HeightBounds((0, 5), (0, 3))) == [
+        assert list(iter_height_sequences(HeightBounds((0, 5), (0, 3)))) == [
             (0, 3), (0, 4), (0, 5),
         ]
 
     def test_reference_staircase_count(self):
-        seqs = enumerate_height_sequences(staircase_bounds(3, 1, 3))
+        seqs = list(iter_height_sequences(staircase_bounds(3, 1, 3)))
         assert len(seqs) == 55
         assert seqs == sorted(seqs)
         assert all(all(x <= y for x, y in zip(s, s[1:])) for s in seqs)
@@ -206,6 +205,16 @@ class TestAgreementProperties:
     @given(st.one_of(height_bounds(max_n=8, min_h=-5, max_h=10), run_bounds()))
     def test_det_equals_dp_with_negative_heights(self, bounds):
         assert count_paths_det(bounds) == count_paths_dp(bounds)
+
+    # one level run, as on p = 1 staircases: det returns its binomial
+    # and keeps no minor before it
+    @example(1, -3, 0)
+    @example(1, 0, 7)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(-6, 6), st.integers(0, 8))
+    def test_det_on_one_level_run_is_a_binomial(self, n, low, width):
+        bounds = HeightBounds((low + width,) * n, (low,) * n)
+        assert count_paths_det(bounds) == binomial(width + n, n) == count_paths_dp(bounds)
 
     @example(HeightBounds((2,) * 6, (0,) * 6))
     @example(HeightBounds((-1,) * 4 + (1, 2), (-1,) * 6))
