@@ -48,7 +48,7 @@ def gfc(n: int, t: int, p: int, method: str = "det",
     if method == "dp":
         return count_paths_dp(staircase_bounds(n, t, p), max_volume)
     if method == "det":
-        return count_paths_det(staircase_bounds(n, t, p))
+        return count_paths_det(staircase_bounds(n, t, p), max_volume)
     if method == "canonical":
         return cm_type_stair(n, t, p, max_volume)
     raise ValueError(f"unknown method {method!r}, expected one of {GFC_METHODS}")

@@ -130,7 +130,8 @@ def _run_paths(args) -> dict:
         return {"count": str(paths.count_paths_dp(bounds, args.max_volume)),
                 "method": "dp"}
     if args.method == "det":
-        return {"count": str(paths.count_paths_det(bounds)), "method": "det"}
+        return {"count": str(paths.count_paths_det(bounds, args.max_volume)),
+                "method": "det"}
     seqs = list(paths.iter_height_sequences(bounds, args.max_volume))
     return {
         "count": str(len(seqs)),

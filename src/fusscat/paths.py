@@ -5,18 +5,23 @@ steps is determined by the heights y_1 <= ... <= y_n of its horizontal
 steps, so everything here works on weakly increasing integer sequences
 with b_i <= y_i <= a_i. A level run is a stretch of rows with equal a_i
 and equal b_i; inside one, nothing constrains the heights but their
-order, so their counts are binomials. Three routes are provided: a
-dynamic program that builds each row of prefix counts with one
-accumulate, writes the row that ends the first level run in closed form
-and folds the last level run into one weighted sum, capped on its
-n * (a_n - b_1 + 1) cells; the binomial determinant identity, by the
-leading-minor recurrence of its Hessenberg matrix from the end of the
-first level run on (one binomial when that run is every row), reading
-only the entries on and above the subdiagonal and building no matrix
-(_columns: the start column, and one where b changes, by binomials; any
-other the last one shifted down a row, with one binomial step per run of
-equal a); and, for small instances, exhaustive enumeration on the
-package's one composition walker, _walk.
+order, so their counts are binomials; _level_runs finds the first and
+the last run. Three routes are provided: a dynamic program that builds
+each row of prefix counts with one accumulate, writes the row that ends
+the first level run in closed form and folds the last level run into one
+weighted sum, capped on its n * (a_n - b_1 + 1) cells; the binomial
+determinant identity, by the leading-minor recurrence of its Hessenberg
+matrix, capped on its big-int products times the words of its counts
+(check_det). The determinant takes both outer level runs in closed
+form: the first run's share of each later column is one truncated
+Vandermonde sum while b stays level, and the last run's Toeplitz block
+is solved by the series of (1 + x)^(-A); so only the middle runs take
+products, and a matrix of two runs builds no column. It builds no
+matrix: _columns gives the middle rows of each later column, the start
+column and one where b changes by binomials, any other as the last one
+shifted down a row, with one binomial step per run of equal a. For small
+instances there is exhaustive enumeration on the package's one
+composition walker, _walk.
 
 _walk visits the internal nodes of the prefix-sum tree of the bounded
 compositions. A node is a fixed prefix of prefix sums plus the range
@@ -38,6 +43,7 @@ canonical both take it, and the selftest the cap, from this module.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import accumulate, chain, repeat
 from math import comb
@@ -141,13 +147,14 @@ def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:
     return HeightBounds(a, (0,) * (p * t))
 
 
-def _first_run(a, b) -> int:
-    """r, the length of the first level run: a_i = a_0 and b_i = b_0 for
-    every row i < r."""
-    r = 1
-    while r < len(a) and a[r] == a[0] and b[r] == b[0]:
-        r += 1
-    return r
+def _level_runs(a, b) -> tuple[int, int]:
+    """(r, L): rows 0..r-1 form the first level run (a_i = a_0 and
+    b_i = b_0) and rows L..n-1 the last (a_i = a_(n-1) and b_i = b_(n-1)).
+    Both sequences are weakly increasing, so each end is one bisection.
+    L >= r unless the first run is every row (r = n, L = 0)."""
+    r = min(bisect_right(a, a[0]), bisect_right(b, b[0]))
+    L = max(bisect_left(a, a[-1]), bisect_left(b, b[-1]))
+    return r, L
 
 
 def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
@@ -155,35 +162,35 @@ def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     when its n * (a_n - b_1 + 1) cells exceed the cap.
 
     Only the rows between the first and the last level run (a run of rows
-    with equal a_i and equal b_i) are added cell by cell. After the r rows
-    of the first run, a prefix ends at height lo + h in binom(h + r - 1,
-    r - 1) ways, lo = b_1. After row s (0-based), the one that starts the
-    last run, the k = n - 1 - s heights left rise from that row's height
-    y to at most a_n under no other bound: binom(a_n - y + k, k) ways. On
-    staircase bounds, a in p runs of t and b level, that leaves the rows
-    of the p - 2 middle runs.
+    with equal a_i and equal b_i, see _level_runs) are added cell by
+    cell. After the r rows of the first run, a prefix ends at height
+    lo + h in binom(h + r - 1, r - 1) ways, lo = b_1; when that run is
+    every row, the count is binom(a_1 - b_1 + n, n). After row L
+    (0-based), the one that starts the last run, the k = n - 1 - L
+    heights left rise from that row's height y to at most a_n under no
+    other bound: binom(a_n - y + k, k) ways. On staircase bounds, a in p
+    runs of t and b level, that leaves the rows of the p - 2 middle runs.
     """
     a, b = bounds.a, bounds.b
     n = bounds.n
     check_volume(n * (a[-1] - b[0] + 1), max_volume,
-                 what="path-count DP (--method det has no cap)")
+                 what="path-count DP (--method det has its own cap)")
     lo = b[0]
-    r = _first_run(a, b)
-    s = n - 1
-    while s >= r and a[s - 1] == a[-1] and b[s - 1] == b[-1]:
-        s -= 1
+    r, L = _level_runs(a, b)
+    if r == n:
+        return binomial(a[0] - lo + n, n)
     # row[h]: admissible prefixes y_1..y_i ending at height lo + h <= a_i,
     # first for i = r
     row = [1]
     for h in range(1, a[0] - lo + 1):
         row.append(row[-1] * (h + r - 1) // h)
-    for i in range(r, s + 1):
+    for i in range(r, L + 1):
         # y_i >= y_(i-1): prefix sums of the old row, then its total for
         # the heights above a_(i-1), then zero below b_i
         row = list(accumulate(row))
         row += [row[-1]] * (a[i] - a[i - 1])
         row[: b[i] - lo] = [0] * (b[i] - lo)
-    k = n - 1 - s
+    k = n - 1 - L
     # weight[m] = binom(m + k, k) for the prefix at m below a_n
     weight = [1]
     for m in range(1, len(row)):
@@ -191,36 +198,43 @@ def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     return sum(map(mul, reversed(row), weight))
 
 
-def _columns(a, b, first: int = 0):
-    """Yield rows 0..k of each column k >= first of the path matrix
-    binom(a_i - b_k + 1, k - i + 1).
+def _columns(a, b, first: int = 0, last: int | None = None):
+    """Yield rows first..min(k, last - 1) of each column k >= first of the
+    path matrix binom(a_i - b_k + 1, k - i + 1), for some last > first;
+    it defaults to n, so that each column runs down to its diagonal.
 
     The matrix repeats down its diagonals: where a_i == a_(i-1) and
     b_k == b_(k-1), entry (i, k) equals entry (i-1, k-1). So while b stays
-    level, column k is column k-1 shifted down one row, and only the rows
-    that start a run of equal a (row 0 and each i with a_i > a_(i-1)) take
-    one exact step from row i of column k-1 (row k from the subdiagonal
-    1): binom(N, K) = binom(N, K - 1) * (N - K + 1) / K, with
-    N = a_i - b_k + 1 and K = k - i + 1. A zero entry (N < 0 or K > N)
-    stays zero under both moves, so this keeps the zero convention. On
-    staircase bounds a has p runs, so a column costs one list shift and
-    at most p steps. The start column, and a column where b changes, are
-    built entry by entry with binomial, so any first is allowed.
+    level, column k is column k-1 shifted down one row, and only row
+    first and the rows that start a run of equal a (each i with
+    a_i > a_(i-1)) take one exact step from row i of column k-1 (row k
+    from the subdiagonal 1): binom(N, K) = binom(N, K - 1) * (N - K + 1)
+    / K, with N = a_i - b_k + 1 and K = k - i + 1. A zero entry (N < 0 or
+    K > N) stays zero under both moves, so this keeps the zero
+    convention. On staircase bounds a has p runs, so a column costs one
+    list shift and at most p steps. The start column, and a column where
+    b changes, are built entry by entry with binomial, so any first is
+    allowed.
     """
-    starts = [i for i in range(len(a)) if i == 0 or a[i] != a[i - 1]]
+    last = len(a) if last is None else last
+    starts = [first] + [i for i in range(first + 1, last) if a[i] != a[i - 1]]
     for k in range(first, len(b)):
         bk = b[k]
         if k > first and bk == b[k - 1]:
             prev = col
             col = [0, *prev]
+            if k >= last:
+                # the rows stop at last - 1: the shift drops the bottom one
+                del col[-1]
             # N - K + 1 = (a_i + i) - (b_k + k - 1)
             base = bk + k - 1
             for i in starts:
                 if i > k:
                     break
-                col[i] = (prev[i] if i < k else 1) * (a[i] + i - base) // (k - i + 1)
+                col[i - first] = ((prev[i - first] if i < k else 1)
+                                  * (a[i] + i - base) // (k - i + 1))
         else:
-            col = [binomial(a[i] - bk + 1, k - i + 1) for i in range(k + 1)]
+            col = [binomial(a[i] - bk + 1, k - i + 1) for i in range(first, min(k + 1, last))]
         yield col
 
 
@@ -233,32 +247,112 @@ def path_count_matrix(bounds: HeightBounds) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*columns))
 
 
-def count_paths_det(bounds: HeightBounds) -> int:
-    """Number of admissible height sequences, by the determinant identity.
+def check_det(bounds: HeightBounds, max_volume: int | None = None):
+    """Refuse count_paths_det when its work exceeds the cap, estimated as
+    its big-int products times the 64-bit words of the largest count it
+    can reach, binom(a_n - b_1 + n, n), bounded without computing it.
+
+    With r and L from _level_runs, the products are the middle triangle,
+    (L - r)(L - r + 1)/2, the L - r middle rows of each of the n - L
+    columns of the last run, r first-run rows in each column where b has
+    risen above b_1, and two closed-form terms per column. A matrix that
+    is one level run costs one binomial. Returns (r, L) for
+    count_paths_det to go on with.
+    """
+    a, b = bounds.a, bounds.b
+    n = len(a)
+    r, L = _level_runs(a, b)
+    products = 1
+    if r < n:
+        middle = L - r
+        products += (middle * (middle + 1) // 2 + (n - L) * middle
+                     + r * (n - bisect_right(b, b[0])) + 2 * (n - r))
+    # binom(N, K) <= (e N / K)^K < (3 N / K)^K, with N = a_n - b_1 + n and
+    # K = min(n, a_n - b_1)
+    height = a[-1] - b[0]
+    K = min(n, height)
+    bits = K * (-(-3 * (height + n) // K)).bit_length() if K else 1
+    check_volume(products * (bits // 64 + 1), max_volume, what="path determinant")
+    return r, L
+
+
+def count_paths_det(bounds: HeightBounds, max_volume: int | None = None) -> int:
+    """Number of admissible height sequences, by the determinant identity,
+    under the cap of check_det.
 
     The path matrix M is upper Hessenberg with a unit subdiagonal: below
     it j - i + 1 < 0, and on it M[i][i-1] = binom(a_i - b_(i-1) + 1, 0) = 1
-    as a_i >= a_(i-1) >= b_(i-1). So the leading minors are D_0 = 1,
-    D_k = sum_(i<=k) (-1)^(k-i) M[i][k] D_(i-1) (1-based, expanding D_k
-    along its last column): O(n^2) integer work on the rows i <= k of
-    each column, with no matrix built. D_k counts the paths of the first
-    k bounds, so over the r rows of the first level run (a_i = a_0 and
-    b_i = b_0) it is binom(a_0 - b_0 + k, k), and the recurrence starts at
-    column r. When that run covers every row, D_n is that binomial, and
-    no minor before it is kept.
+    as a_i >= a_(i-1) >= b_(i-1). So with alt[i] = (-1)^i D_i, D_i its
+    leading minors, expanding along the last column gives alt[0] = 1 and
+    alt[k+1] = -sum_(i<=k) M[i][k] alt[i] (0-based): O(n^2) products with
+    no matrix built. Both outer level runs (_level_runs: rows 0..r-1 and
+    L..n-1) cost closed forms instead of products; only the middle runs
+    take the recurrence product by product.
+
+    The last run. On rows and columns L..n-1, M[i][k] = binom(A, k - i + 1)
+    with A = a_L - b_L + 1, a Toeplitz block with symbol (1 + x)^A. With
+    c_j = alt[L + j] and H(k) = sum_(i<L) M[i][k] alt[i], the recurrence on
+    columns L..n-1 reads (1 + x)^A C(x) = R(x) mod x^(J+1), J = n - L,
+    where R_0 = alt[L] and R_j = -H(L + j - 1). So C = R (1 + x)^(-A), and
+    alt[n] = sum_(d<=J) binom(-A, d) R_(J-d).
+
+    The first run. It is the same block with no rows before it, R = 1, so
+    alt[i] = binom(-m, i) = [x^i] (1 + x)^(-m) for i <= r, m = a_0 - b_0 + 1.
+    While b_k = b_0, its rows' share of column k is the truncated
+    Vandermonde sum S(r) = sum_(i<r) binom(m, K - i) binom(-m, i), K = k + 1,
+    and S(r) = T(r) = (-1)^(r-1) binom(m + r - 1, r - 1) binom(m - 1, K - r)
+    m / K, the division exact. Both vanish at r = 0, and raising r by one
+    adds binom(-m, r) binom(m, K - r) to each: the two terms of
+    T(r + 1) - T(r) share the factor binom(m + r - 1, r - 1)
+    binom(m - 1, K - r), and each side is that factor times
+    (-1)^r m^2 / (r (m - K + r)). Where b has risen above b_0, the r rows
+    are summed explicitly. When the first run is every row,
+    D_n = binom(m - 1 + n, n).
+
+    So the columns from _columns carry only the middle rows r..L-1, and a
+    matrix of two runs (every p = 2 staircase) builds no column at all.
     """
+    r, L = check_det(bounds, max_volume)
     a, b = bounds.a, bounds.b
-    r = _first_run(a, b)
-    if r == bounds.n:
-        return binomial(a[0] - b[0] + r, r)
-    # alt[i] = (-1)^i D_i, so that each minor is one sum of products:
-    # D_(k+1) = (-1)^k sum_(i<=k) M[i][k] alt[i] (0-based rows)
-    alt = [1]
-    for k in range(1, r + 1):
-        alt.append(-alt[-1] * (a[0] - b[0] + k) // k)
-    for col in _columns(a, b, r):
-        alt.append(-sum(map(mul, col, alt)))
-    return -alt[-1] if bounds.n % 2 else alt[-1]
+    n = len(a)
+    m = a[0] - b[0] + 1
+    if r == n:
+        return binomial(m - 1 + n, n)
+    # share[k - r]: the first-run rows' part of column k, sum_(i<r) M[i][k] alt[i]
+    level = max(r, bisect_right(b, b[0]))
+    scale = (-1) ** (r - 1) * comb(m + r - 1, r - 1) * m
+    share = []
+    g = 1
+    for k in range(r, level):
+        j = k + 1 - r
+        # g = binom(m - 1, j)
+        g = g * (m - j) // j
+        share.append(scale * g // (k + 1))
+    if level < n:
+        head = [1]
+        for i in range(1, r):
+            head.append(-head[-1] * (m - 1 + i) // i)
+        for k in range(level, n):
+            top = a[0] - b[k] + 1
+            share.append(sum(binomial(top, k - i + 1) * head[i] for i in range(r)))
+    # alt[r], alt[r + 1], ...: the minors from the end of the first run on
+    alt = [(-1) ** r * comb(m - 1 + r, r)]
+    # H[k - L] = H(k), the rows above the last run in its column k
+    H = share[L - r:]
+    if L > r:
+        columns = _columns(a, b, r, L)
+        for part, col in zip(share[:L - r], columns):
+            alt.append(-part - sum(map(mul, col, alt)))
+        H = [part + sum(map(mul, col, alt)) for part, col in zip(H, columns)]
+    # alt[n] = sum_d binom(-A, d) R_(J-d), R = (alt[L], -H(L), .., -H(n-1))
+    A = a[-1] - b[-1] + 1
+    total = 0
+    e = 1
+    for d, h in enumerate(reversed(H)):
+        total -= e * h
+        e = -e * (A + d) // (d + 1)
+    total += e * alt[-1]
+    return -total if n % 2 else total
 
 
 def _walk(total: int, parts: int, minimum: int = 0,

@@ -250,6 +250,20 @@ class TestExitCodes:
         assert err.startswith("refused:")
         assert "--method det" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gfc", "--n", "3000", "--t", "1500", "--p", "4", "--method", "det"),
+        # 16 products of one-word counts, see test_paths.TestDetCap
+        ("--max-volume", "15", "gfc", "--n", "4", "--t", "2", "--p", "3",
+         "--method", "det"),
+        ("--max-volume", "8", "paths", "--a", "1,1,3,3", "--b", "0,0,1,1",
+         "--method", "det"),
+    ], ids=["gfc-det-large", "gfc-det-over-cap", "paths-det-over-cap"])
+    def test_det_over_cap_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: refusing path determinant: estimated volume ")
+
     def test_canonical_over_cap_is_refused(self, capsys):
         # the turn-count DP's estimate is the vertex count, 45 here
         code, out, err = run_cli(capsys, "--max-volume", "10", "gfc", "--n", "5",

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from fusscat import paths
 from fusscat.caps import SearchCapExceeded
 from fusscat.exactmat import Matrix, binomial, det_exact
 from fusscat.paths import (
     HeightBounds,
     _columns,
+    check_det,
     count_bounded_compositions,
     count_paths_det,
     count_paths_dp,
@@ -175,14 +177,18 @@ class TestAgreementProperties:
     @given(st.one_of(height_bounds(max_n=10, min_h=-4, max_h=6), run_bounds()))
     def test_columns_match_entry_formula(self, bounds):
         # _columns shifts a column from the last one while b stays level,
-        # steps the rows that start a run of equal a, and calls binomial
-        # at its start column and where b changes; it may start at any
-        # column, inside or past the first level run
+        # steps row first and the rows that start a run of equal a, and
+        # calls binomial at its start column and where b changes; it may
+        # start at any column, inside or past the first level run, and
+        # stop its rows at any last > first
         a, b = bounds.a, bounds.b
         expected = [[binomial(a[i] - b[k] + 1, k - i + 1) for i in range(k + 1)]
                     for k in range(bounds.n)]
         for first in range(bounds.n + 1):
-            assert list(_columns(a, b, first)) == expected[first:]
+            assert list(_columns(a, b, first)) == [col[first:] for col in expected[first:]]
+            for last in range(first + 1, bounds.n + 1):
+                assert list(_columns(a, b, first, last)) == [
+                    col[first:last] for col in expected[first:]]
         assert count_paths_det(bounds) == count_paths_dp(bounds)
 
     # level runs (equal a_i and equal b_i) that the DP and the determinant
@@ -246,6 +252,112 @@ class TestAgreementProperties:
             raised_b[j] = max(raised_b[j], raised_b[i])
         if all(x >= y for x, y in zip(bounds.a, raised_b)):
             assert count_paths_dp(HeightBounds(bounds.a, tuple(raised_b))) <= base
+
+
+@st.composite
+def rising_bounds(draw):
+    """Height bounds whose b rises into a last level run of 2 to 5 rows."""
+    head = draw(height_bounds(max_n=6, min_h=-3, max_h=6))
+    rows = draw(st.integers(2, 5))
+    top_b = head.b[-1] + draw(st.integers(1, 4))
+    top_a = max(head.a[-1], top_b) + draw(st.integers(0, 4))
+    return HeightBounds(head.a + (top_a,) * rows, head.b + (top_b,) * rows)
+
+
+class TestDetClosedForms:
+    """count_paths_det sums the first level run's rows in closed form while
+    b is level, and solves the last level run by (1 + x)^(-A)."""
+
+    def test_first_run_identity(self):
+        # sum_(i<r) binom(m, k + 1 - i) binom(-m, i) for every m, r <= 12,
+        # in every column k up to where binom(m - 1, k + 1 - r) vanishes;
+        # the division by k + 1 is exact
+        for m in range(1, 13):
+            alt = [(-1) ** i * binomial(m - 1 + i, i) for i in range(12)]
+            for r in range(1, 13):
+                for k in range(r, r + m + 1):
+                    share = sum(binomial(m, k + 1 - i) * alt[i] for i in range(r))
+                    scaled = ((-1) ** (r - 1) * binomial(m + r - 1, r - 1)
+                              * binomial(m - 1, k + 1 - r) * m)
+                    assert scaled % (k + 1) == 0
+                    assert scaled // (k + 1) == share
+
+    def test_first_run_closed_form_in_every_column(self):
+        # a first run of r rows at height m - 1, with and without a middle
+        # run, then a last run long enough to reach every nonzero share
+        for m in range(1, 13):
+            for r in range(1, 13):
+                for middle in ((), (m, m)):
+                    a = (m - 1,) * r + middle + (m + 2,) * (m + 1)
+                    bounds = HeightBounds(a, (0,) * len(a))
+                    assert count_paths_det(bounds) == count_paths_dp(bounds)
+
+    @example(HeightBounds((0, 0, 3, 3, 3), (0, 0, 2, 2, 2)))
+    @example(HeightBounds((-3, 1, 1, 4, 4), (-3, -3, 0, 3, 3)))
+    @example(HeightBounds((2, 2, 2, 9, 9, 9), (0, 0, 0, 8, 8, 8)))
+    @settings(max_examples=300, deadline=None)
+    @given(rising_bounds())
+    def test_det_equals_dp_with_b_rising_into_the_last_run(self, bounds):
+        assert count_paths_det(bounds) == count_paths_dp(bounds)
+
+    @pytest.mark.parametrize("n,t", [(2, 1), (9, 4), (80, 45), (300, 150)])
+    def test_two_runs_build_no_column(self, monkeypatch, n, t):
+        # a p = 2 staircase is a first and a last level run, both closed forms
+        expected = count_paths_dp(staircase_bounds(n, t, 2))
+        entered = []
+        monkeypatch.setattr(paths, "_columns", lambda *args: entered.append(args))
+        assert count_paths_det(staircase_bounds(n, t, 2)) == expected
+        assert entered == []
+
+    def test_middle_runs_build_columns(self, monkeypatch):
+        # the spy above can fail: a p = 3 staircase takes its middle rows
+        # from _columns, rows t..2t-1 only
+        entered = []
+        real = paths._columns
+
+        def spy(a, b, first, last):
+            entered.append((first, last))
+            return real(a, b, first, last)
+        monkeypatch.setattr(paths, "_columns", spy)
+        assert count_paths_det(staircase_bounds(9, 4, 3)) == count_paths_dp(
+            staircase_bounds(9, 4, 3))
+        assert entered == [(4, 8)]
+
+
+class TestDetCap:
+    """check_det: the products of count_paths_det times the words of the
+    largest count it can reach."""
+
+    @pytest.mark.parametrize("bounds,estimate", [
+        # r = 2, L = 4: middle triangle 3, last-run rows 2 * 2, closed
+        # forms 2 * 4, plus 1; binom(12, 6) fits one word
+        (staircase_bounds(4, 2, 3), 16),
+        # b rises at column 2: the 2 first-run rows of 2 columns, closed
+        # forms 2 * 2, plus 1
+        (HeightBounds((1, 1, 3, 3), (0, 0, 1, 1)), 9),
+        # one level run is one binomial
+        (HeightBounds((5,) * 3, (0,) * 3), 1),
+        # binom(400000, 200000) < 6^200000, 600000 bits in 9376 words
+        (staircase_bounds(400000, 200000, 1), 9376),
+    ], ids=["staircase", "b-rises", "one-run", "words"])
+    def test_estimate(self, bounds, estimate):
+        check_det(bounds, max_volume=estimate)
+        with pytest.raises(SearchCapExceeded, match="path determinant") as refused:
+            check_det(bounds, max_volume=estimate - 1)
+        assert refused.value.estimate == estimate
+
+    def test_det_refuses_over_the_cap(self):
+        bounds = staircase_bounds(4, 2, 3)
+        assert count_paths_det(bounds, max_volume=16) == count_paths_dp(bounds)
+        with pytest.raises(SearchCapExceeded):
+            count_paths_det(bounds, max_volume=15)
+
+    def test_large_orders(self):
+        # p = 2 at order 3000 is two closed forms; p = 4 at order 6000 is
+        # about 9 million products of 18000-bit counts
+        assert check_det(staircase_bounds(3000, 1500, 2)) == (1500, 1500)
+        with pytest.raises(SearchCapExceeded, match="path determinant"):
+            count_paths_det(staircase_bounds(3000, 1500, 4))
 
 
 @st.composite
