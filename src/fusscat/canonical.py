@@ -41,11 +41,11 @@ rule on the staircase's blocks and its tight steps.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, mul
 
 from .caps import check_volume
-from .exactmat import binomial
+from .exactmat import binomial, binomial_series
 from .paths import composition_walk, iter_bounded_compositions, validate_triple
 from .polyomino import ExpVec, StairSpec
 
@@ -289,25 +289,22 @@ def hilbert_numerator(spec: StairSpec, degree_max: int,
 
 def hilbert_from_numerator(h: list[int], dim: int) -> list[int]:
     """[H(0), ..., H(len(h) - 1)] from the numerator coefficients h: the
-    product of h and 1 / (1 - t)^dim, truncated at degree len(h) - 1, so
-    H(d) = sum_k h_k * binom(d - k + dim - 1, dim - 1). The zero tail of h
-    is not multiplied: a staircase's h is positive up to s and zero past
-    it, so each of h_0 .. h_min(s, D) takes one pass over the series."""
+    product of h and binomial_series' (1 - t)^(-dim), truncated at degree
+    len(h) - 1, so H(d) = sum_k h_k * binom(d - k + dim - 1, dim - 1). The
+    zero tail of h is not multiplied: a staircase's h is positive up to s
+    and zero past it, so each of h_0 .. h_min(s, D) takes one pass."""
     top = len(h)
     while top and not h[top - 1]:
         top -= 1
-    # binom(j + dim - 1, dim - 1) for j = 0..len(h) - 1, the coefficients
-    # of 1 / (1 - t)^dim
-    series = list(accumulate(range(1, len(h)),
-                             lambda c, j: c * (j + dim - 1) // j, initial=1))
+    series = list(islice(binomial_series(-dim, -1), len(h)))
     return _times_series(h[:top], series)
 
 
 def numerator_from_hilbert(H: list[int], dim: int) -> list[int]:
     """The coefficients of (sum_d H[d] t^d) * (1 - t)^dim up to degree
-    len(H) - 1, from the Hilbert function values H[0..]."""
-    # the coefficients of (1 - t)^dim that reach degree len(H) - 1
-    signed = [(-1) ** j * binomial(dim, j) for j in range(min(dim + 1, len(H)))]
+    len(H) - 1, from the Hilbert function values H[0..] and the terms
+    (-1)^j binom(dim, j) of (1 - t)^dim that binomial_series yields."""
+    signed = list(islice(binomial_series(dim, -1), min(dim + 1, len(H))))
     return _times_series(signed, H)
 
 

@@ -145,8 +145,14 @@ def _run_polyomino(args) -> dict:
 
     spec = _spec(args)
     cell_count = spec.cell_count()
-    # the cells list holds two integers per cell
-    check_volume(2 * cell_count, args.max_volume, what="polyomino cell list")
+    # the cells list holds two integers per cell; the picture, A_p - 1 rows
+    # of B_p - 1 characters and a newline, adds (A_p - 1) * B_p
+    estimate, what = 2 * cell_count, "polyomino cell list"
+    if args.render:
+        width, height = spec.ambient_box()
+        estimate += (height - 1) * width
+        what += " and picture"
+    check_volume(estimate, args.max_volume, what=what)
     out = {
         "spec": polyomino.format_stair_spec(spec),
         "cell_count": cell_count,

@@ -2,6 +2,8 @@
 
 Python's native int is the arbitrary-precision integer used everywhere;
 all determinants, ranks and counts below are exact by construction.
+Every run of binomials, in the path counters' closed forms, the enum
+cap and the Hilbert conversions, is read off one binomial_series.
 Fraction-free (Bareiss) elimination is the one general elimination,
 behind both det_exact and rank_exact; the path determinant of ``paths``
 needs none, because its matrix is Hessenberg.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import count
 
 
 def binomial(m: int, k: int) -> int:
@@ -24,6 +27,19 @@ def binomial(m: int, k: int) -> int:
     if k < 0 or m < 0 or k > m:
         return 0
     return math.comb(m, k)
+
+
+def binomial_series(top: int, sign: int = 1):
+    """Yield sign^j binom(top, j), j = 0, 1, ..., the coefficients of
+    (1 + sign*x)^top (sign 1 or -1) for any integer top, without end: for
+    top = -m < 0 the generalized binom(-m, j) = (-1)^j binom(m + j - 1, j),
+    for top >= 0 zeros past degree top. Each step is one big-int product
+    by the small factor f and one exact division."""
+    c, f = 1, sign * top
+    for j in count(1):
+        yield c
+        c = c * f // j
+        f -= sign
 
 
 def fuss_catalan(p: int, n: int) -> int:

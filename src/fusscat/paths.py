@@ -45,12 +45,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import accumulate, chain, repeat
-from math import comb
+from itertools import accumulate, chain, islice, repeat
+from math import comb, isqrt
 from operator import gt, lt, mul
 
 from .caps import check_volume
-from .exactmat import binomial
+from .exactmat import binomial, binomial_series
 
 
 class HeightBounds(namedtuple("HeightBounds", "a b")):
@@ -107,14 +107,12 @@ def enum_volume(n: int, t: int, p: int) -> int:
 def check_enum(n: int, t: int, p: int, max_volume: int | None = None):
     """Refuse the walk over A(n, t, p) (composition_walk) when enum_volume
     exceeds the cap, at the first of its increasing partial products
-    binom(total + i, i) * parts above it, without the exact binomial."""
+    binom(total + i, i) * parts above it, drawn from (1 - x)^(-total - 1)."""
     parts = p * t + 1
     total = p * (n - t)
     what = f"composition enumeration for (n,t,p)=({n},{t},{p})"
-    estimate = parts
-    for i in range(1, parts + 1):
-        check_volume(estimate, max_volume, what)
-        estimate = estimate * (total + i) // i
+    for c in islice(binomial_series(-total - 1, -1), parts):
+        check_volume(c * parts, max_volume, what)
 
 
 def composition_walk(n: int, t: int, p: int, shift: int, max_volume: int | None = None):
@@ -180,22 +178,17 @@ def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     if r == n:
         return binomial(a[0] - lo + n, n)
     # row[h]: admissible prefixes y_1..y_i ending at height lo + h <= a_i,
-    # first for i = r
-    row = [1]
-    for h in range(1, a[0] - lo + 1):
-        row.append(row[-1] * (h + r - 1) // h)
+    # first for i = r, from (1 - x)^(-r)
+    row = list(islice(binomial_series(-r, -1), a[0] - lo + 1))
     for i in range(r, L + 1):
         # y_i >= y_(i-1): prefix sums of the old row, then its total for
         # the heights above a_(i-1), then zero below b_i
         row = list(accumulate(row))
         row += [row[-1]] * (a[i] - a[i - 1])
         row[: b[i] - lo] = [0] * (b[i] - lo)
-    k = n - 1 - L
-    # weight[m] = binom(m + k, k) for the prefix at m below a_n
-    weight = [1]
-    for m in range(1, len(row)):
-        weight.append(weight[-1] * (m + k) // m)
-    return sum(map(mul, reversed(row), weight))
+    # the prefix at m below a_n weighs binom(m + k, k), k = n - 1 - L: the
+    # coefficients of (1 - x)^(L - n)
+    return sum(map(mul, reversed(row), binomial_series(L - n, -1)))
 
 
 def _columns(a, b, first: int = 0, last: int | None = None):
@@ -250,29 +243,34 @@ def path_count_matrix(bounds: HeightBounds) -> tuple[tuple[int, ...], ...]:
 def check_det(bounds: HeightBounds, max_volume: int | None = None):
     """Refuse count_paths_det when its work exceeds the cap, estimated as
     its big-int products times the 64-bit words of the largest count it
-    can reach, binom(a_n - b_1 + n, n), bounded without computing it.
+    can reach, binom(a_n - b_1 + n, n), bounded without computing it, plus
+    one binomial of that size.
 
     With r and L from _level_runs, the products are the middle triangle,
     (L - r)(L - r + 1)/2, the L - r middle rows of each of the n - L
     columns of the last run, r first-run rows in each column where b has
     risen above b_1, and two closed-form terms per column. A matrix that
-    is one level run costs one binomial. Returns (r, L) for
-    count_paths_det to go on with.
+    is one level run costs the binomial alone. math.comb's time grows
+    about as words^1.8, so the binomial is priced at
+    words * isqrt(isqrt(words))^3, about words^1.75 and equal to words
+    below 16 words. Returns (r, L) for count_paths_det to go on with.
     """
     a, b = bounds.a, bounds.b
     n = len(a)
     r, L = _level_runs(a, b)
-    products = 1
+    products = 0
     if r < n:
         middle = L - r
-        products += (middle * (middle + 1) // 2 + (n - L) * middle
-                     + r * (n - bisect_right(b, b[0])) + 2 * (n - r))
+        products = (middle * (middle + 1) // 2 + (n - L) * middle
+                    + r * (n - bisect_right(b, b[0])) + 2 * (n - r))
     # binom(N, K) <= (e N / K)^K < (3 N / K)^K, with N = a_n - b_1 + n and
     # K = min(n, a_n - b_1)
     height = a[-1] - b[0]
     K = min(n, height)
     bits = K * (-(-3 * (height + n) // K)).bit_length() if K else 1
-    check_volume(products * (bits // 64 + 1), max_volume, what="path determinant")
+    words = bits // 64 + 1
+    check_volume((products + isqrt(isqrt(words)) ** 3) * words, max_volume,
+                 what="path determinant")
     return r, L
 
 
@@ -321,17 +319,11 @@ def count_paths_det(bounds: HeightBounds, max_volume: int | None = None) -> int:
     # share[k - r]: the first-run rows' part of column k, sum_(i<r) M[i][k] alt[i]
     level = max(r, bisect_right(b, b[0]))
     scale = (-1) ** (r - 1) * comb(m + r - 1, r - 1) * m
-    share = []
-    g = 1
-    for k in range(r, level):
-        j = k + 1 - r
-        # g = binom(m - 1, j)
-        g = g * (m - j) // j
-        share.append(scale * g // (k + 1))
+    # binom(m - 1, k + 1 - r) from (1 + x)^(m - 1), past its first term
+    share = [scale * g // K for K, g in zip(range(r + 1, level + 1),
+                                            islice(binomial_series(m - 1), 1, None))]
     if level < n:
-        head = [1]
-        for i in range(1, r):
-            head.append(-head[-1] * (m - 1 + i) // i)
+        head = list(islice(binomial_series(-m), r))
         for k in range(level, n):
             top = a[0] - b[k] + 1
             share.append(sum(binomial(top, k - i + 1) * head[i] for i in range(r)))
@@ -346,12 +338,9 @@ def count_paths_det(bounds: HeightBounds, max_volume: int | None = None) -> int:
         H = [part + sum(map(mul, col, alt)) for part, col in zip(H, columns)]
     # alt[n] = sum_d binom(-A, d) R_(J-d), R = (alt[L], -H(L), .., -H(n-1))
     A = a[-1] - b[-1] + 1
-    total = 0
-    e = 1
-    for d, h in enumerate(reversed(H)):
-        total -= e * h
-        e = -e * (A + d) // (d + 1)
-    total += e * alt[-1]
+    series = binomial_series(-A)
+    total = sum(map(mul, reversed(H), series))
+    total = next(series) * alt[-1] - total
     return -total if n % 2 else total
 
 
@@ -475,14 +464,14 @@ def iter_height_sequences(bounds: HeightBounds, max_volume: int | None = None):
     A sequence is the prefix sums, shifted by base = min(b_1, 0), of n + 1
     nonnegative increments summing to a_n - base, read off the walk's
     nodes: y_1 .. y_(n-1) from the node's fixed prefix sums, y_n from its
-    span. Refuses instances with n > 12 or box volume
-    prod(a_i - b_i + 1) above the cap.
+    span. Refused when the entries a full listing holds exceed the cap,
+    estimated as the box volume prod(a_i - b_i + 1) times n + 1: n heights
+    per sequence, plus the sequence itself. That also bounds the walk,
+    which takes at most n steps per sequence, so n has no other limit.
     """
     a, b = bounds.a, bounds.b
     n = bounds.n
-    if n > 12:
-        raise ValueError(f"exhaustive enumeration is limited to n <= 12, got n={n}")
-    volume = 1
+    volume = n + 1
     for x, y in zip(a, b):
         volume *= x - y + 1
     check_volume(volume, max_volume, what="height-sequence enumeration")

@@ -230,6 +230,22 @@ class TestCheckMethods:
                 assert (code, captured.out) == (1, "")
                 assert captured.err.startswith(f"error: {message}")
 
+    def test_enum_cap_draws_only_the_partial_products_it_checks(self, monkeypatch):
+        # 5,000,001 parts: binom(5000000, 0) * parts fits the cap and
+        # binom(5000001, 1) * parts does not, so two coefficients are drawn
+        drawn = []
+        series = paths.binomial_series
+
+        def spy(top, sign=1):
+            for c in series(top, sign):
+                drawn.append(c)
+                yield c
+        monkeypatch.setattr(paths, "binomial_series", spy)
+        with pytest.raises(SearchCapExceeded) as refused:
+            paths.check_enum(10_000_000, 5_000_000, 1)
+        assert drawn == [1, 5_000_001]
+        assert refused.value.estimate == 5_000_001 ** 2
+
     def test_refusal_past_the_str_digit_limit(self):
         # enum is refused at its first partial product above the cap,
         # binom(10001, 1) * 10001, not at the full binom(20000, 10000) *

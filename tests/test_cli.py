@@ -264,6 +264,28 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("refused: refusing path determinant: estimated volume ")
 
+    @pytest.mark.parametrize("argv,fragment", [
+        # the 4 * 4 box times 2 heights plus the sequence
+        (("paths", "--a", "3,3", "--method", "enumerate"),
+         "height-sequence enumeration: estimated volume 48 "),
+        # 18 cells, two integers each, and the picture's 9 rows of 3 '#'
+        # or '.' and a newline
+        (("polyomino", "--u", "3,3,3", "--r", "1,1,1", "--render"),
+         "polyomino cell list and picture: estimated volume 72 "),
+        # binom(1000, 500) in 24 words, priced 24 * isqrt(isqrt(24))^3
+        (("gfc", "--n", "1000", "--t", "500", "--p", "1", "--method", "det"),
+         "path determinant: estimated volume 192 "),
+    ], ids=["enumerate", "render", "det-binomial"])
+    def test_cap_boundary(self, capsys, argv, fragment):
+        estimate = int(fragment.split()[-1])
+        code, out, err = run_cli(capsys, "--max-volume", str(estimate), *argv)
+        assert code == 0, err
+        assert out
+        code, out, err = run_cli(capsys, "--max-volume", str(estimate - 1), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: refusing " + fragment)
+
     def test_canonical_over_cap_is_refused(self, capsys):
         # the turn-count DP's estimate is the vertex count, 45 here
         code, out, err = run_cli(capsys, "--max-volume", "10", "gfc", "--n", "5",

@@ -1,10 +1,12 @@
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fusscat.exactmat import Matrix, binomial, det_exact, fuss_catalan, rank_exact
+from fusscat.exactmat import (Matrix, binomial, binomial_series, det_exact, fuss_catalan,
+                              rank_exact)
 
 from conftest import det_cofactor, rank_fractions
 
@@ -17,6 +19,20 @@ def matrices(r, c):
         st.lists(st.lists(e, min_size=c, max_size=c), min_size=r, max_size=r)
         for e in (st.integers(-9, 9), sparse)
     ))
+
+
+class TestBinomialSeries:
+    def test_coefficients_of_every_power(self):
+        # sign^j binom(top, j), the generalized binomial for top < 0
+        for top in range(-30, 31):
+            for sign in (1, -1):
+                got = list(islice(binomial_series(top, sign), 40))
+                want = [sign ** j * (math.comb(top, j) if top >= 0
+                                     else (-1) ** j * math.comb(j - top - 1, j))
+                        for j in range(40)]
+                assert got == want, (top, sign)
+                if top >= 0:
+                    assert got[top + 1:] == [0] * (39 - top)
 
 
 class TestBinomial:

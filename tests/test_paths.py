@@ -126,16 +126,18 @@ class TestEnumeration:
         expected = [h for h in box if all(x <= y for x, y in zip(h, h[1:]))]
         assert list(iter_height_sequences(bounds)) == expected
 
-    def test_length_cap(self):
+    def test_no_length_limit(self):
+        # 2^13 points of the box, 14 entries each; 14 of them increase
         bounds = HeightBounds((1,) * 13, (0,) * 13)
-        with pytest.raises(ValueError, match="n <= 12"):
-            list(iter_height_sequences(bounds))
+        seqs = list(iter_height_sequences(bounds, max_volume=2 ** 13 * 14))
+        assert seqs == [(0,) * (13 - k) + (1,) * k for k in range(14)]
 
     def test_volume_cap_reports_estimate(self):
+        # the box volume 10^8 times 8 heights plus the sequence
         bounds = HeightBounds((9,) * 8, (0,) * 8)
         with pytest.raises(SearchCapExceeded) as exc:
             list(iter_height_sequences(bounds, max_volume=1000))
-        assert exc.value.estimate == 10 ** 8
+        assert exc.value.estimate == 9 * 10 ** 8
         assert exc.value.cap == 1000
 
 
@@ -326,7 +328,7 @@ class TestDetClosedForms:
 
 class TestDetCap:
     """check_det: the products of count_paths_det times the words of the
-    largest count it can reach."""
+    largest count it can reach, plus one binomial of that size."""
 
     @pytest.mark.parametrize("bounds,estimate", [
         # r = 2, L = 4: middle triangle 3, last-run rows 2 * 2, closed
@@ -337,9 +339,13 @@ class TestDetCap:
         (HeightBounds((1, 1, 3, 3), (0, 0, 1, 1)), 9),
         # one level run is one binomial
         (HeightBounds((5,) * 3, (0,) * 3), 1),
-        # binom(400000, 200000) < 6^200000, 600000 bits in 9376 words
-        (staircase_bounds(400000, 200000, 1), 9376),
-    ], ids=["staircase", "b-rises", "one-run", "words"])
+        # binom(400000, 200000) < 6^200000, 600000 bits in 9376 words, one
+        # binomial priced 9376 * isqrt(isqrt(9376))^3 = 9376 * 9^3
+        (staircase_bounds(400000, 200000, 1), 6_835_104),
+        # p = 2 of order 1000: closed forms 2 * 500 in 47 words, plus the
+        # binomial at 47 * 2^3
+        (staircase_bounds(1000, 500, 2), 1000 * 47 + 47 * 8),
+    ], ids=["staircase", "b-rises", "one-run", "words", "priced-binomial"])
     def test_estimate(self, bounds, estimate):
         check_det(bounds, max_volume=estimate)
         with pytest.raises(SearchCapExceeded, match="path determinant") as refused:
