@@ -38,8 +38,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         values = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise CliError(f"expected a comma-separated integer list, got {text!r}") from None
-    if not values:
-        raise CliError("expected a nonempty integer list")
     return values
 
 
@@ -133,11 +131,7 @@ def _run_paths(args) -> dict:
         return {"count": str(paths.count_paths_det(bounds, args.max_volume)),
                 "method": "det"}
     seqs = list(paths.iter_height_sequences(bounds, args.max_volume))
-    return {
-        "count": str(len(seqs)),
-        "method": "enumerate",
-        "sequences": [list(s) for s in seqs],
-    }
+    return {"count": str(len(seqs)), "method": "enumerate", "sequences": seqs}
 
 
 def _run_polyomino(args) -> dict:
@@ -156,7 +150,7 @@ def _run_polyomino(args) -> dict:
     out = {
         "spec": polyomino.format_stair_spec(spec),
         "cell_count": cell_count,
-        "cells": [list(c) for c in spec.cells()],
+        "cells": list(spec.cells()),
         "vertex_count": spec.vertex_count(),
         "krull_dim": spec.krull_dim(),
         # column x is the run 1 .. top(x) - 1 and the tops never fall, so
@@ -200,7 +194,7 @@ def _run_canonical(args) -> dict:
         "spec": polyomino.format_stair_spec(spec),
         "degree_max": args.dmax,
         "count": str(len(found)),
-        "generators": [{"x": list(z[:m]), "y": list(z[m:])} for z in found],
+        "generators": [{"x": z[:m], "y": z[m:]} for z in found],
     }
 
 

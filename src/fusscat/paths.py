@@ -10,18 +10,11 @@ the last run. Three routes are provided: a dynamic program that builds
 each row of prefix counts with one accumulate, writes the row that ends
 the first level run in closed form and folds the last level run into one
 weighted sum, capped on its n * (a_n - b_1 + 1) cells; the binomial
-determinant identity, by the leading-minor recurrence of its Hessenberg
-matrix, capped on its big-int products times the words of its counts
-(check_det). The determinant takes both outer level runs in closed
-form: the first run's share of each later column is one truncated
-Vandermonde sum while b stays level, and the last run's Toeplitz block
-is solved by the series of (1 + x)^(-A); so only the middle runs take
-products, and a matrix of two runs builds no column. It builds no
-matrix: _columns gives the middle rows of each later column, the start
-column and one where b changes by binomials, any other as the last one
-shifted down a row, with one binomial step per run of equal a. For small
-instances there is exhaustive enumeration on the package's one
-composition walker, _walk.
+determinant identity, by the leading minors of its Hessenberg matrix,
+capped on its work (check_det): one closed form per run of equal a while
+b is level (_level_minors), the plain recurrence on the columns of
+_columns where b rises. For small instances there is exhaustive
+enumeration on the package's one composition walker, _walk.
 
 _walk visits the internal nodes of the prefix-sum tree of the bounded
 compositions. A node is a fixed prefix of prefix sums plus the range
@@ -47,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import accumulate, chain, islice, repeat
 from math import comb, isqrt
-from operator import gt, lt, mul
+from operator import gt, lt, mul, sub
 
 from .caps import check_volume
 from .exactmat import binomial, binomial_series
@@ -191,43 +184,45 @@ def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     return sum(map(mul, reversed(row), binomial_series(L - n, -1)))
 
 
-def _columns(a, b, first: int = 0, last: int | None = None):
-    """Yield rows first..min(k, last - 1) of each column k >= first of the
-    path matrix binom(a_i - b_k + 1, k - i + 1), for some last > first;
-    it defaults to n, so that each column runs down to its diagonal.
+def _run_starts(a) -> list[int]:
+    """The rows 0 = s_0 < s_1 < ... that start a run of equal a_i, then n,
+    by one bisection per run, as a is weakly increasing."""
+    starts = [s := 0]
+    while s < len(a):
+        s = bisect_right(a, a[s], s)
+        starts.append(s)
+    return starts
+
+
+def _columns(a, b):
+    """Yield rows 0..k of each column k of the path matrix
+    binom(a_i - b_k + 1, k - i + 1), down to its diagonal.
 
     The matrix repeats down its diagonals: where a_i == a_(i-1) and
     b_k == b_(k-1), entry (i, k) equals entry (i-1, k-1). So while b stays
-    level, column k is column k-1 shifted down one row, and only row
-    first and the rows that start a run of equal a (each i with
-    a_i > a_(i-1)) take one exact step from row i of column k-1 (row k
-    from the subdiagonal 1): binom(N, K) = binom(N, K - 1) * (N - K + 1)
-    / K, with N = a_i - b_k + 1 and K = k - i + 1. A zero entry (N < 0 or
-    K > N) stays zero under both moves, so this keeps the zero
-    convention. On staircase bounds a has p runs, so a column costs one
-    list shift and at most p steps. The start column, and a column where
-    b changes, are built entry by entry with binomial, so any first is
-    allowed.
+    level, column k is column k-1 shifted down one row, and only the rows
+    that start a run of equal a (_run_starts) take one exact step from row
+    i of column k-1 (row k from the subdiagonal 1): binom(N, K) =
+    binom(N, K - 1) * (N - K + 1) / K, with N = a_i - b_k + 1 and
+    K = k - i + 1. A zero entry (N < 0 or K > N) stays zero under both
+    moves, so this keeps the zero convention. On staircase bounds a has p
+    runs, so a column costs one list shift and at most p steps. The first
+    column, and a column where b changes, are built entry by entry with
+    binomial.
     """
-    last = len(a) if last is None else last
-    starts = [first] + [i for i in range(first + 1, last) if a[i] != a[i - 1]]
-    for k in range(first, len(b)):
-        bk = b[k]
-        if k > first and bk == b[k - 1]:
+    starts = _run_starts(a)
+    for k, bk in enumerate(b):
+        if k and bk == b[k - 1]:
             prev = col
             col = [0, *prev]
-            if k >= last:
-                # the rows stop at last - 1: the shift drops the bottom one
-                del col[-1]
             # N - K + 1 = (a_i + i) - (b_k + k - 1)
             base = bk + k - 1
             for i in starts:
                 if i > k:
                     break
-                col[i - first] = ((prev[i - first] if i < k else 1)
-                                  * (a[i] + i - base) // (k - i + 1))
+                col[i] = (prev[i] if i < k else 1) * (a[i] + i - base) // (k - i + 1)
         else:
-            col = [binomial(a[i] - bk + 1, k - i + 1) for i in range(first, min(k + 1, last))]
+            col = [binomial(a[i] - bk + 1, k - i + 1) for i in range(k + 1)]
         yield col
 
 
@@ -242,36 +237,86 @@ def path_count_matrix(bounds: HeightBounds) -> tuple[tuple[int, ...], ...]:
 
 def check_det(bounds: HeightBounds, max_volume: int | None = None):
     """Refuse count_paths_det when its work exceeds the cap, estimated as
-    its big-int products times the 64-bit words of the largest count it
-    can reach, binom(a_n - b_1 + n, n), bounded without computing it, plus
-    one binomial of that size.
+    its big-int products and series steps times the 64-bit words of the
+    largest count it can reach, binom(a_n - b_1 + n, n), bounded without
+    computing it, plus one binomial of that size.
 
-    With r and L from _level_runs, the products are the middle triangle,
-    (L - r)(L - r + 1)/2, the L - r middle rows of each of the n - L
-    columns of the last run, r first-run rows in each column where b has
-    risen above b_1, and two closed-form terms per column. A matrix that
-    is one level run costs the binomial alone. math.comb's time grows
-    about as words^1.8, so the binomial is priced at
-    words * isqrt(isqrt(words))^3, about words^1.75 and equal to words
-    below 16 words. Returns (r, L) for count_paths_det to go on with.
+    With b level (_level_minors), a run of equal a on rows s..e-1 takes
+    (e - s) * s products and e steps of (1 + x)^(-N), the last run s
+    products, and each gap between two runs one series of at most n + 1
+    terms; of q runs there are at most min(q(q - 1)/2, a_n - a_1) gaps.
+    So one level run costs the binomial alone. When b rises, the
+    recurrence takes n(n + 1)/2 products. math.comb's time grows about as
+    words^1.8, so the binomial is priced at words * isqrt(isqrt(words))^3,
+    about words^1.75 and equal to words below 16 words. Returns the run
+    starts of a (_run_starts) when b is level, else None.
     """
     a, b = bounds.a, bounds.b
     n = len(a)
-    r, L = _level_runs(a, b)
-    products = 0
-    if r < n:
-        middle = L - r
-        products = (middle * (middle + 1) // 2 + (n - L) * middle
-                    + r * (n - bisect_right(b, b[0])) + 2 * (n - r))
+    if b[0] == b[-1]:
+        starts = _run_starts(a)
+        ends = starts[1:-1]
+        q = len(starts) - 1
+        # the gaps between runs are distinct integers in 1..a_n - a_1
+        gaps = min(q * (q - 1) // 2, a[-1] - a[0])
+        work = (sum(map(mul, map(sub, ends, starts), starts)) + starts[-2]
+                + sum(ends) + gaps * (n + 1))
+    else:
+        starts = None
+        work = n * (n + 1) // 2
     # binom(N, K) <= (e N / K)^K < (3 N / K)^K, with N = a_n - b_1 + n and
     # K = min(n, a_n - b_1)
     height = a[-1] - b[0]
     K = min(n, height)
     bits = K * (-(-3 * (height + n) // K)).bit_length() if K else 1
     words = bits // 64 + 1
-    check_volume((products + isqrt(isqrt(words)) ** 3) * words, max_volume,
+    check_volume((work + isqrt(isqrt(words)) ** 3) * words, max_volume,
                  what="path determinant")
-    return r, L
+    return starts
+
+
+def _level_minors(a, b, starts) -> list[int]:
+    """alt[k] = (-1)^k D_k for k < L and then alt[n], where D_k is the
+    k-th leading minor of the path matrix for level b and L starts the
+    last run of equal a (starts from _run_starts).
+
+    M[i][k] = binom(N_i, k - i + 1) with N_i = a_i - b + 1 >= 1, a
+    coefficient of (1 + x)^(N_i), so count_paths_det's recurrence says
+    sum_(i<=n) alt[i] x^i (1 + x)^(N_i) = 1 mod x^(n+1) (alt[n] counts
+    only through its x^n term, so N_n is any). Take a run of equal a on
+    rows s..e-1. Below degree e the rows from e on add nothing, so
+    multiplying by (1 + x)^(-N_s) there gives, for s <= k < e,
+    alt[k] = binom(-N_s, k) - sum_(i<s) alt[i] binom(a_i - a_s, k - i),
+    generalized binomials read off binomial_series, one series per gap
+    a_s - a_i > 0, shared by the runs with that gap. Of the last run only
+    alt[n] is formed, whose first term is binom(-N, n) =
+    (-1)^n binom(a_n - b + n, n). So the first run takes no product, and
+    one run is that binomial alone.
+    """
+    n = len(a)
+    alt = []
+    # gap a_s - a_i -> binom(a_i - a_s, d) for d <= n - s2, where the run of
+    # row i starts at s2; pairs of runs with equal gaps come in order of
+    # s2, so the first pair needs the most terms
+    gaps = {}
+    runs = list(zip(starts, starts[1:]))
+    for j, (s, e) in enumerate(runs):
+        if e < n:
+            ks = range(s, e)
+            alt += islice(binomial_series(b - 1 - a[s]), s, e)
+        else:
+            ks = (n,)
+            alt.append((-1) ** n * comb(a[s] - b + n, n))
+        # alt[k] less sum_(i<s) alt[i] binom(a_i - a_s, k - i), run by run
+        for s2, e2 in runs[:j]:
+            gap = a[s] - a[s2]
+            terms = gaps.get(gap)
+            if terms is None:
+                terms = gaps[gap] = list(islice(binomial_series(-gap), n + 1 - s2))
+            part = alt[s2:e2]
+            for x, k in enumerate(ks, s):
+                alt[x] -= sum(map(mul, part, terms[k - s2:k - e2:-1]))
+    return alt
 
 
 def count_paths_det(bounds: HeightBounds, max_volume: int | None = None) -> int:
@@ -282,66 +327,20 @@ def count_paths_det(bounds: HeightBounds, max_volume: int | None = None) -> int:
     it j - i + 1 < 0, and on it M[i][i-1] = binom(a_i - b_(i-1) + 1, 0) = 1
     as a_i >= a_(i-1) >= b_(i-1). So with alt[i] = (-1)^i D_i, D_i its
     leading minors, expanding along the last column gives alt[0] = 1 and
-    alt[k+1] = -sum_(i<=k) M[i][k] alt[i] (0-based): O(n^2) products with
-    no matrix built. Both outer level runs (_level_runs: rows 0..r-1 and
-    L..n-1) cost closed forms instead of products; only the middle runs
-    take the recurrence product by product.
-
-    The last run. On rows and columns L..n-1, M[i][k] = binom(A, k - i + 1)
-    with A = a_L - b_L + 1, a Toeplitz block with symbol (1 + x)^A. With
-    c_j = alt[L + j] and H(k) = sum_(i<L) M[i][k] alt[i], the recurrence on
-    columns L..n-1 reads (1 + x)^A C(x) = R(x) mod x^(J+1), J = n - L,
-    where R_0 = alt[L] and R_j = -H(L + j - 1). So C = R (1 + x)^(-A), and
-    alt[n] = sum_(d<=J) binom(-A, d) R_(J-d).
-
-    The first run. It is the same block with no rows before it, R = 1, so
-    alt[i] = binom(-m, i) = [x^i] (1 + x)^(-m) for i <= r, m = a_0 - b_0 + 1.
-    While b_k = b_0, its rows' share of column k is the truncated
-    Vandermonde sum S(r) = sum_(i<r) binom(m, K - i) binom(-m, i), K = k + 1,
-    and S(r) = T(r) = (-1)^(r-1) binom(m + r - 1, r - 1) binom(m - 1, K - r)
-    m / K, the division exact. Both vanish at r = 0, and raising r by one
-    adds binom(-m, r) binom(m, K - r) to each: the two terms of
-    T(r + 1) - T(r) share the factor binom(m + r - 1, r - 1)
-    binom(m - 1, K - r), and each side is that factor times
-    (-1)^r m^2 / (r (m - K + r)). Where b has risen above b_0, the r rows
-    are summed explicitly. When the first run is every row,
-    D_n = binom(m - 1 + n, n).
-
-    So the columns from _columns carry only the middle rows r..L-1, and a
-    matrix of two runs (every p = 2 staircase) builds no column at all.
+    alt[k+1] = -sum_(i<=k) M[i][k] alt[i] (0-based), with no matrix
+    built. Where b rises, that recurrence runs on the columns of _columns,
+    O(n^2) products; where b is level, the minors of each run of equal a
+    are one closed form (_level_minors).
     """
-    r, L = check_det(bounds, max_volume)
+    starts = check_det(bounds, max_volume)
     a, b = bounds.a, bounds.b
-    n = len(a)
-    m = a[0] - b[0] + 1
-    if r == n:
-        return binomial(m - 1 + n, n)
-    # share[k - r]: the first-run rows' part of column k, sum_(i<r) M[i][k] alt[i]
-    level = max(r, bisect_right(b, b[0]))
-    scale = (-1) ** (r - 1) * comb(m + r - 1, r - 1) * m
-    # binom(m - 1, k + 1 - r) from (1 + x)^(m - 1), past its first term
-    share = [scale * g // K for K, g in zip(range(r + 1, level + 1),
-                                            islice(binomial_series(m - 1), 1, None))]
-    if level < n:
-        head = list(islice(binomial_series(-m), r))
-        for k in range(level, n):
-            top = a[0] - b[k] + 1
-            share.append(sum(binomial(top, k - i + 1) * head[i] for i in range(r)))
-    # alt[r], alt[r + 1], ...: the minors from the end of the first run on
-    alt = [(-1) ** r * comb(m - 1 + r, r)]
-    # H[k - L] = H(k), the rows above the last run in its column k
-    H = share[L - r:]
-    if L > r:
-        columns = _columns(a, b, r, L)
-        for part, col in zip(share[:L - r], columns):
-            alt.append(-part - sum(map(mul, col, alt)))
-        H = [part + sum(map(mul, col, alt)) for part, col in zip(H, columns)]
-    # alt[n] = sum_d binom(-A, d) R_(J-d), R = (alt[L], -H(L), .., -H(n-1))
-    A = a[-1] - b[-1] + 1
-    series = binomial_series(-A)
-    total = sum(map(mul, reversed(H), series))
-    total = next(series) * alt[-1] - total
-    return -total if n % 2 else total
+    if starts is None:
+        alt = [1]
+        for col in _columns(a, b):
+            alt.append(-sum(map(mul, col, alt)))
+    else:
+        alt = _level_minors(a, b[0], starts)
+    return -alt[-1] if len(a) % 2 else alt[-1]
 
 
 def _walk(total: int, parts: int, minimum: int = 0,

@@ -4,7 +4,8 @@ lines.
 
 The criteria themselves live in fusscat.selftest.CHECKS; this file adds
 one named test per criterion with its time budget, so the pytest run and
-`fusscat selftest` check the same things.
+`fusscat selftest` check the same things, and shows that each criterion
+fails when a fault is planted in the code it checks.
 """
 
 import time
@@ -12,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fusscat import selftest
+from fusscat import brackets, canonical, cone, paths, polyomino, selftest
 
 # criterion number -> (test name suffix, budget in seconds, keyword arguments)
 CRITERIA = {
@@ -61,6 +62,53 @@ for _number, _, _check in selftest.CHECKS:
     _suffix, _budget, _kwargs = CRITERIA[_number]
     globals()[f"test_criterion_{_number}_{_suffix}"] = _acceptance_test(
         _number, _check, _budget, _kwargs)
+
+
+def _without_first_step_normal(real):
+    def normals(spec):
+        found, nu = real(spec)
+        return found[spec.p > 1:], nu
+    return normals
+
+
+def _first_two_runs_merged(real):
+    def starts(a):
+        found = real(a)
+        return found[:1] + found[2:] if len(found) > 2 else found
+    return starts
+
+
+# criterion -> (module, name, a fault planted in the function of that
+# name); criteria 3 and 11 have their own failing tests
+FAULTS = {
+    # the path matrix transposed
+    1: (paths, "path_count_matrix", lambda real: lambda bounds: tuple(zip(*real(bounds)))),
+    # the canonical route off by one
+    2: (brackets, "cm_type_stair", lambda real: lambda *args: real(*args) + 1),
+    # the det's binomials taken one row short, binom(N, k - 1) for binom(N, k)
+    4: (paths, "comb", lambda real: lambda top, k: real(top, k - 1)),
+    # one closed-form generator lost
+    5: (canonical, "stair_generators", lambda real: lambda *args: list(real(*args))[1:]),
+    6: (polyomino, "krull_dim", lambda real: lambda P: real(P) + 1),
+    # the first step normal dropped from every staircase cone
+    7: (cone, "stair_normals", _without_first_step_normal),
+    # the det's second run of equal a merged into its first; dp and det
+    # then differ before the enumeration runs
+    8: (paths, "_run_starts", _first_two_runs_merged),
+    # the search drops one generator
+    9: (canonical, "minimal_generators_search", lambda real: lambda *args: real(*args)[1:]),
+    # the top numerator coefficient lost
+    10: (canonical, "hilbert_numerator", lambda real: lambda *args: real(*args)[:-1] + [0]),
+}
+
+
+@pytest.mark.parametrize("number", sorted(FAULTS))
+def test_criterion_can_fail(monkeypatch, number):
+    module, name, fault = FAULTS[number]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    check = {num: fn for num, _, fn in selftest.CHECKS}[number]
+    passed, detail = check()
+    assert passed is False, detail
 
 
 def test_criterion_12_cli_selftest(selftest_probe):

@@ -68,6 +68,12 @@ class TestGfcCommand:
         assert code == 1
         assert "comma-separated" in err
 
+    def test_empty_list_is_validation_error(self, capsys):
+        # "".split(",") is [""], so an empty list fails as a malformed one
+        code, out, err = run_cli(capsys, "paths", "--a", "")
+        assert (code, out) == (1, "")
+        assert err == "error: expected a comma-separated integer list, got ''\n"
+
 
 class TestPathsCommand:
     def test_dp_default(self, capsys):
@@ -377,8 +383,12 @@ class TestExitCodes:
         (("hilbert", "--u", "1", "--r", "1", "--dmax", "-2"), "nonnegative"),
         (("canonical", "--n", "3", "--t", "1", "--p", "3", "--dmax", "4"), "--dmax"),
         (("canonical", "--u", "1", "--r", "1", "--dmax", "-3"), "nonnegative"),
+        (("--max-volume", "x", "gfc", "--n", "3", "--t", "1", "--p", "3"),
+         "error: argument --max-volume: expected a nonnegative integer, got 'x'"),
+        (("hilbert", "--u", "1", "--r", "1", "--dmax", "1.5"),
+         "error: argument --dmax: expected a nonnegative integer, got '1.5'"),
     ], ids=["negative-max-volume", "negative-dmax", "closed-form-dmax",
-            "negative-canonical-dmax"])
+            "negative-canonical-dmax", "word-max-volume", "fraction-dmax"])
     def test_invalid_input_is_validation_error(self, capsys, argv, fragment):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

@@ -167,6 +167,16 @@ class TestMembership:
         assert contains(c, z)
         assert in_relint(c, z)
 
+    def test_off_the_hyperplane_not_interior(self):
+        # one more x-degree than y-degree: every normal is still positive,
+        # so only the nu-equality rejects the point
+        c = stair_cone(P1)
+        z = vec_sum(dense_gens(c))
+        off = (z[0] + 1,) + z[1:]
+        assert dot(off, c.nu) == 1
+        assert all(dot(off, a) >= 1 for a in c.normals)
+        assert in_relint(c, z) and not in_relint(c, off)
+
     def test_single_generator_not_interior(self):
         c = stair_cone(P1)
         assert not in_relint(c, edge_vector(c, c.edges[0]))

@@ -179,18 +179,11 @@ class TestAgreementProperties:
     @given(st.one_of(height_bounds(max_n=10, min_h=-4, max_h=6), run_bounds()))
     def test_columns_match_entry_formula(self, bounds):
         # _columns shifts a column from the last one while b stays level,
-        # steps row first and the rows that start a run of equal a, and
-        # calls binomial at its start column and where b changes; it may
-        # start at any column, inside or past the first level run, and
-        # stop its rows at any last > first
+        # steps row 0 and the rows that start a run of equal a, and calls
+        # binomial at the first column and where b changes
         a, b = bounds.a, bounds.b
-        expected = [[binomial(a[i] - b[k] + 1, k - i + 1) for i in range(k + 1)]
-                    for k in range(bounds.n)]
-        for first in range(bounds.n + 1):
-            assert list(_columns(a, b, first)) == [col[first:] for col in expected[first:]]
-            for last in range(first + 1, bounds.n + 1):
-                assert list(_columns(a, b, first, last)) == [
-                    col[first:last] for col in expected[first:]]
+        assert list(_columns(a, b)) == [
+            [binomial(a[i] - b[k] + 1, k - i + 1) for i in range(k + 1)] for k in range(bounds.n)]
         assert count_paths_det(bounds) == count_paths_dp(bounds)
 
     # level runs (equal a_i and equal b_i) that the DP and the determinant
@@ -266,23 +259,38 @@ def rising_bounds(draw):
     return HeightBounds(head.a + (top_a,) * rows, head.b + (top_b,) * rows)
 
 
-class TestDetClosedForms:
-    """count_paths_det sums the first level run's rows in closed form while
-    b is level, and solves the last level run by (1 + x)^(-A)."""
+@st.composite
+def level_bounds(draw, max_n=10, min_h=-4, max_h=8):
+    """Height bounds with b level under a weakly increasing a, whose few
+    heights make runs of equal a likely."""
+    a = sorted(draw(st.lists(st.integers(min_h, max_h), min_size=1, max_size=max_n)))
+    low = draw(st.integers(min_h - 2, a[0]))
+    return HeightBounds(a, (low,) * len(a))
 
-    def test_first_run_identity(self):
-        # sum_(i<r) binom(m, k + 1 - i) binom(-m, i) for every m, r <= 12,
-        # in every column k up to where binom(m - 1, k + 1 - r) vanishes;
-        # the division by k + 1 is exact
-        for m in range(1, 13):
-            alt = [(-1) ** i * binomial(m - 1 + i, i) for i in range(12)]
-            for r in range(1, 13):
-                for k in range(r, r + m + 1):
-                    share = sum(binomial(m, k + 1 - i) * alt[i] for i in range(r))
-                    scaled = ((-1) ** (r - 1) * binomial(m + r - 1, r - 1)
-                              * binomial(m - 1, k + 1 - r) * m)
-                    assert scaled % (k + 1) == 0
-                    assert scaled // (k + 1) == share
+
+class TestDetClosedForms:
+    """With b level, count_paths_det forms the minors of each run of equal a
+    by one closed form (_level_minors); where b rises, it runs the plain
+    recurrence on _columns."""
+
+    # one run; a first run of one row; runs of one row each; a last run of
+    # one row; a gap shared by two pairs of runs
+    @example(HeightBounds((3,) * 5, (0,) * 5))
+    @example(HeightBounds((-1, 2, 2, 2), (-3,) * 4))
+    @example(HeightBounds((1, 2, 3, 4, 5, 6), (0,) * 6))
+    @example(HeightBounds((0, 0, 0, 4), (0,) * 4))
+    @example(HeightBounds((1, 1, 3, 3, 5, 5, 5), (-1,) * 7))
+    @settings(max_examples=200, deadline=None)
+    @given(level_bounds())
+    def test_level_minors_are_the_leading_minors(self, bounds):
+        # alt[k] = (-1)^k D_k for every row k before the last run, then
+        # alt[n], each against the dense minor of path_count_matrix
+        a, n = bounds.a, bounds.n
+        starts = paths._run_starts(a)
+        matrix = path_count_matrix(bounds)
+        minors = [(-1) ** k * det_exact(Matrix.from_rows([row[:k] for row in matrix[:k]]))
+                  for k in range(n + 1)]
+        assert paths._level_minors(a, bounds.b[0], starts) == minors[:starts[-2]] + [minors[n]]
 
     def test_first_run_closed_form_in_every_column(self):
         # a first run of r rows at height m - 1, with and without a middle
@@ -311,40 +319,54 @@ class TestDetClosedForms:
         assert count_paths_det(staircase_bounds(n, t, 2)) == expected
         assert entered == []
 
-    def test_middle_runs_build_columns(self, monkeypatch):
-        # the spy above can fail: a p = 3 staircase takes its middle rows
-        # from _columns, rows t..2t-1 only
+    @pytest.mark.parametrize("bounds", [
+        staircase_bounds(7, 3, 1), staircase_bounds(9, 4, 3), staircase_bounds(6, 1, 6),
+        staircase_bounds(40, 30, 4), HeightBounds((-2, 0, 0, 3, 5, 5), (-3,) * 6),
+    ], ids=["p1", "p3", "p6", "p4-order-120", "negative"])
+    def test_level_b_builds_no_column(self, monkeypatch, bounds):
+        # with b level every run, middle runs included, is its closed form
+        expected = count_paths_dp(bounds)
+        entered = []
+        monkeypatch.setattr(paths, "_columns", lambda *args: entered.append(args))
+        assert count_paths_det(bounds) == expected
+        assert entered == []
+
+    def test_rising_b_builds_columns(self, monkeypatch):
+        # the spies above can fail: where b rises, the recurrence reads
+        # every column of _columns
+        bounds = HeightBounds((1, 1, 3, 3), (0, 0, 1, 1))
         entered = []
         real = paths._columns
 
-        def spy(a, b, first, last):
-            entered.append((first, last))
-            return real(a, b, first, last)
+        def spy(a, b):
+            entered.append((a, b))
+            return real(a, b)
         monkeypatch.setattr(paths, "_columns", spy)
-        assert count_paths_det(staircase_bounds(9, 4, 3)) == count_paths_dp(
-            staircase_bounds(9, 4, 3))
-        assert entered == [(4, 8)]
+        assert count_paths_det(bounds) == count_paths_dp(bounds) == 18
+        assert entered == [(bounds.a, bounds.b)]
 
 
 class TestDetCap:
-    """check_det: the products of count_paths_det times the words of the
-    largest count it can reach, plus one binomial of that size."""
+    """check_det: the products and series steps of count_paths_det times
+    the words of the largest count it can reach, plus one binomial of that
+    size."""
 
     @pytest.mark.parametrize("bounds,estimate", [
-        # r = 2, L = 4: middle triangle 3, last-run rows 2 * 2, closed
-        # forms 2 * 4, plus 1; binom(12, 6) fits one word
-        (staircase_bounds(4, 2, 3), 16),
-        # b rises at column 2: the 2 first-run rows of 2 columns, closed
-        # forms 2 * 2, plus 1
-        (HeightBounds((1, 1, 3, 3), (0, 0, 1, 1)), 9),
+        # runs from rows 0, 2, 4: products 2 * 2 in the middle run and 4
+        # in the last, steps 2 + 4 of (1 + x)^(-N), 3 pairs of runs at
+        # n + 1 = 7 steps each, plus 1; binom(12, 6) fits one word
+        (staircase_bounds(4, 2, 3), 36),
+        # b rises: the recurrence's 4 * 5 / 2 products, plus 1
+        (HeightBounds((1, 1, 3, 3), (0, 0, 1, 1)), 11),
         # one level run is one binomial
         (HeightBounds((5,) * 3, (0,) * 3), 1),
         # binom(400000, 200000) < 6^200000, 600000 bits in 9376 words, one
         # binomial priced 9376 * isqrt(isqrt(9376))^3 = 9376 * 9^3
         (staircase_bounds(400000, 200000, 1), 6_835_104),
-        # p = 2 of order 1000: closed forms 2 * 500 in 47 words, plus the
+        # p = 2 of order 1000: 500 products, 500 steps of the first run's
+        # series and one gap series of 1001, in 47 words, plus the
         # binomial at 47 * 2^3
-        (staircase_bounds(1000, 500, 2), 1000 * 47 + 47 * 8),
+        (staircase_bounds(1000, 500, 2), 2001 * 47 + 47 * 8),
     ], ids=["staircase", "b-rises", "one-run", "words", "priced-binomial"])
     def test_estimate(self, bounds, estimate):
         check_det(bounds, max_volume=estimate)
@@ -354,14 +376,14 @@ class TestDetCap:
 
     def test_det_refuses_over_the_cap(self):
         bounds = staircase_bounds(4, 2, 3)
-        assert count_paths_det(bounds, max_volume=16) == count_paths_dp(bounds)
+        assert count_paths_det(bounds, max_volume=36) == count_paths_dp(bounds)
         with pytest.raises(SearchCapExceeded):
-            count_paths_det(bounds, max_volume=15)
+            count_paths_det(bounds, max_volume=35)
 
     def test_large_orders(self):
-        # p = 2 at order 3000 is two closed forms; p = 4 at order 6000 is
-        # about 9 million products of 18000-bit counts
-        assert check_det(staircase_bounds(3000, 1500, 2)) == (1500, 1500)
+        # p = 2 at order 3000 is two runs, O(n) work; p = 4 at order 6000
+        # is about 7 million products and steps of 18000-bit counts
+        assert check_det(staircase_bounds(3000, 1500, 2)) == [0, 1500, 3000]
         with pytest.raises(SearchCapExceeded, match="path determinant"):
             count_paths_det(staircase_bounds(3000, 1500, 4))
 

@@ -113,6 +113,10 @@ class TestConvexity:
     def test_u_shape_is_not(self):
         assert not is_convex(U_SHAPE)
 
+    def test_column_gap_is_not(self):
+        # every row is a run, but column 1 misses (1, 2)
+        assert not is_convex(Polyomino([(1, 1), (2, 1), (2, 2), (2, 3), (1, 3)]))
+
     @given(stair_specs())
     def test_stairs_are_convex(self, spec):
         assert is_convex(stair(spec))
