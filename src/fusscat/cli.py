@@ -123,7 +123,7 @@ def _run_paths(args) -> dict:
     from . import paths
 
     b = args.b if args.b is not None else (0,) * len(args.a)
-    bounds = paths.HeightBounds(args.a, b)
+    bounds = paths.HeightBounds.from_rows(args.a, b)
     if args.method == "dp":
         return {"count": str(paths.count_paths_dp(bounds, args.max_volume)),
                 "method": "dp"}

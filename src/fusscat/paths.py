@@ -3,18 +3,18 @@
 A path from (0, b_1) to (n, a_n) built from unit horizontal and vertical
 steps is determined by the heights y_1 <= ... <= y_n of its horizontal
 steps, so everything here works on weakly increasing integer sequences
-with b_i <= y_i <= a_i. A level run is a stretch of rows with equal a_i
-and equal b_i; inside one, nothing constrains the heights but their
-order, so their counts are binomials; _level_runs finds the first and
-the last run. Three routes are provided: a dynamic program that builds
-each row of prefix counts with one accumulate, writes the row that ends
-the first level run in closed form and folds the last level run into one
-weighted sum, capped on its n * (a_n - b_1 + 1) cells; the binomial
-determinant identity, by the leading minors of its Hessenberg matrix,
-capped on its work (check_det): one closed form per run of equal a while
-b is level (_level_minors), the plain recurrence on the columns of
-_columns where b rises. For small instances there is exhaustive
-enumeration on the package's one composition walker, _walk.
+with b_i <= y_i <= a_i. HeightBounds holds them as runs, the maximal
+stretches of rows with equal a_i and equal b_i, inside which only their
+order constrains the heights; a staircase is p runs, so every cap is
+checked in O(runs) before any row exists. Three routes are provided: a
+dynamic program with the first run in closed form, one accumulate per
+row up to the last run and that run folded into one weighted sum, capped
+on its n * (a_n - b_1 + 1) cells; the binomial determinant identity, by
+the leading minors of its Hessenberg matrix, capped on its work
+(check_det): one closed form per run while b is level (_level_minors),
+the plain recurrence on the columns of _columns where b rises. For small
+instances there is exhaustive enumeration on the package's one
+composition walker, _walk.
 
 _walk visits the internal nodes of the prefix-sum tree of the bounded
 compositions. A node is a fixed prefix of prefix sums plus the range
@@ -36,47 +36,70 @@ canonical both take it, and the selftest the cap, from this module.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import accumulate, chain, islice, repeat
-from math import comb, isqrt
-from operator import gt, lt, mul, sub
+from itertools import accumulate, chain, groupby, islice, repeat
+from math import comb, isqrt, prod
+from operator import eq, gt, itemgetter, lt, mul, sub
 
 from .caps import check_volume
 from .exactmat import binomial, binomial_series
 
 
-class HeightBounds(namedtuple("HeightBounds", "a b")):
-    """Upper bounds a and lower bounds b for the horizontal-step heights.
+def _row_problems(a, b) -> str:
+    """The message for bounds given as rows a and b that break a rule of
+    HeightBounds, naming every rule they break."""
+    problems = []
+    if len(a) != len(b):
+        problems.append(f"len(a)={len(a)} differs from len(b)={len(b)}")
+    if len(a) == 0:
+        problems.append("bounds must have length >= 1")
+    if any(map(gt, a, a[1:])):
+        problems.append(f"a is not weakly increasing: {a}")
+    if any(map(gt, b, b[1:])):
+        problems.append(f"b is not weakly increasing: {b}")
+    if any(map(lt, a, b)):
+        crossing = [i for i, (x, y) in enumerate(zip(a, b)) if x < y]
+        problems.append(f"a_i < b_i at positions {crossing} (0-based)")
+    return "invalid height bounds: " + "; ".join(problems)
 
-    Both sequences must be weakly increasing with a_i >= b_i. Negative
-    heights are allowed by the model; the staircase constructors always
-    use b = 0.
+
+class HeightBounds(namedtuple("HeightBounds", "runs")):
+    """Upper bounds a and lower bounds b for the horizontal-step heights,
+    held as runs: the maximal (a_i, b_i, length) stretches of rows with
+    equal a_i and equal b_i, in row order; from_rows groups the rows.
+
+    Both sequences must be weakly increasing with a_i >= b_i, checked in
+    O(runs): the rows, which a and b expand, are built only to describe a
+    failure. Negative heights are allowed by the model; the staircase
+    constructors always use b = 0.
     """
 
     __slots__ = ()
 
-    def __new__(cls, a, b):
+    def __new__(cls, runs):
+        bounds = super().__new__(cls, tuple([(x, y, m) for x, y, m in runs]))
+        a, b, lengths = zip(*bounds.runs) if bounds.runs else ((),) * 3
+        heads = list(zip(a, b))
+        if min(lengths, default=1) < 1 or any(map(eq, heads, heads[1:])):
+            raise ValueError(f"invalid height bounds: runs not maximal or empty: {bounds.runs}")
+        if not heads or any(map(gt, a, a[1:])) or any(map(gt, b, b[1:])) or any(map(lt, a, b)):
+            raise ValueError(_row_problems(bounds.a, bounds.b))
+        return bounds
+
+    @classmethod
+    def from_rows(cls, a, b) -> "HeightBounds":
+        """The bounds with rows a and b, grouped into their runs."""
         a, b = tuple(a), tuple(b)
-        problems = []
         if len(a) != len(b):
-            problems.append(f"len(a)={len(a)} differs from len(b)={len(b)}")
-        if len(a) == 0:
-            problems.append("bounds must have length >= 1")
-        if any(map(gt, a, a[1:])):
-            problems.append(f"a is not weakly increasing: {a}")
-        if any(map(gt, b, b[1:])):
-            problems.append(f"b is not weakly increasing: {b}")
-        if any(map(lt, a, b)):
-            crossing = [i for i, (x, y) in enumerate(zip(a, b)) if x < y]
-            problems.append(f"a_i < b_i at positions {crossing} (0-based)")
-        if problems:
-            raise ValueError("invalid height bounds: " + "; ".join(problems))
-        return super().__new__(cls, a, b)
+            raise ValueError(_row_problems(a, b))
+        return cls((x, y, sum(1 for _ in rows)) for (x, y), rows in groupby(zip(a, b)))
+
+    a = property(lambda self: tuple(chain.from_iterable(repeat(x, m) for x, _, m in self.runs)))
+    b = property(lambda self: tuple(chain.from_iterable(repeat(y, m) for _, y, m in self.runs)))
 
     @property
     def n(self) -> int:
-        return len(self.a)
+        return sum(map(itemgetter(2), self.runs))
 
 
 def validate_triple(n: int, t: int, p: int):
@@ -128,89 +151,68 @@ def composition_walk(n: int, t: int, p: int, shift: int, max_volume: int | None 
 
 
 def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:
-    """Bounds for the staircase family: a_i = ceil(i/t)*(n-t), b_i = 0.
+    """Bounds for the staircase family, p runs of t rows: a_i = ceil(i/t)*(n-t), b_i = 0.
 
     Length is p*t. Calling with t -> n-t yields the reflected bounds
     a'_i = ceil(i/(n-t))*t of length p*(n-t).
     """
     validate_triple(n, t, p)
-    a = tuple(chain.from_iterable(repeat(k * (n - t), t) for k in range(1, p + 1)))
-    return HeightBounds(a, (0,) * (p * t))
-
-
-def _level_runs(a, b) -> tuple[int, int]:
-    """(r, L): rows 0..r-1 form the first level run (a_i = a_0 and
-    b_i = b_0) and rows L..n-1 the last (a_i = a_(n-1) and b_i = b_(n-1)).
-    Both sequences are weakly increasing, so each end is one bisection.
-    L >= r unless the first run is every row (r = n, L = 0)."""
-    r = min(bisect_right(a, a[0]), bisect_right(b, b[0]))
-    L = max(bisect_left(a, a[-1]), bisect_left(b, b[-1]))
-    return r, L
+    return HeightBounds((k * (n - t), 0, t) for k in range(1, p + 1))
 
 
 def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     """Number of admissible height sequences, by prefix-sum DP; refused
     when its n * (a_n - b_1 + 1) cells exceed the cap.
 
-    Only the rows between the first and the last level run (a run of rows
-    with equal a_i and equal b_i, see _level_runs) are added cell by
-    cell. After the r rows of the first run, a prefix ends at height
-    lo + h in binom(h + r - 1, r - 1) ways, lo = b_1; when that run is
-    every row, the count is binom(a_1 - b_1 + n, n). After row L
-    (0-based), the one that starts the last run, the k = n - 1 - L
-    heights left rise from that row's height y to at most a_n under no
-    other bound: binom(a_n - y + k, k) ways. On staircase bounds, a in p
-    runs of t and b level, that leaves the rows of the p - 2 middle runs.
+    After the r rows of the first run, a prefix ends at height lo + h in
+    binom(h + r - 1, r - 1) ways, lo = b_1; when that run is every row, the
+    count is binom(a_1 - b_1 + n, n). Each later run starts with one
+    accumulate, extended to its a_i and zeroed below its b_i, and each
+    further row of a middle run is a plain accumulate. From the first row
+    of the last run, of m rows, the k = m - 1 heights left rise from that
+    row's height y to at most a_n under no other bound: binom(a_n - y + k, k)
+    ways. On staircases that walks the p - 2 middle runs.
     """
-    a, b = bounds.a, bounds.b
+    runs = bounds.runs
+    (top, lo, r), (last, _, m) = runs[0], runs[-1]
     n = bounds.n
-    check_volume(n * (a[-1] - b[0] + 1), max_volume,
+    check_volume(n * (last - lo + 1), max_volume,
                  what="path-count DP (--method det has its own cap)")
-    lo = b[0]
-    r, L = _level_runs(a, b)
-    if r == n:
-        return binomial(a[0] - lo + n, n)
+    if len(runs) == 1:
+        return binomial(top - lo + n, n)
     # row[h]: admissible prefixes y_1..y_i ending at height lo + h <= a_i,
     # first for i = r, from (1 - x)^(-r)
-    row = list(islice(binomial_series(-r, -1), a[0] - lo + 1))
-    for i in range(r, L + 1):
-        # y_i >= y_(i-1): prefix sums of the old row, then its total for
-        # the heights above a_(i-1), then zero below b_i
-        row = list(accumulate(row))
-        row += [row[-1]] * (a[i] - a[i - 1])
-        row[: b[i] - lo] = [0] * (b[i] - lo)
-    # the prefix at m below a_n weighs binom(m + k, k), k = n - 1 - L: the
-    # coefficients of (1 - x)^(L - n)
-    return sum(map(mul, reversed(row), binomial_series(L - n, -1)))
+    row = list(islice(binomial_series(-r, -1), top - lo + 1))
+    rest = 0
+    for x, y, length in runs[1:]:
+        # y_i >= y_(i-1): prefix sums, for the rest of the run before and this
+        # run's first row; then the old total above the old a_i, zero below b_i
+        for _ in range(rest + 1):
+            row = list(accumulate(row))
+        row += [row[-1]] * (x - top)
+        row[: y - lo] = [0] * (y - lo)
+        top, rest = x, length - 1
+    # the prefix at h below a_n weighs binom(h + k, k), k = m - 1: (1 - x)^(-m)
+    return sum(map(mul, reversed(row), binomial_series(-m, -1)))
 
 
-def _run_starts(a) -> list[int]:
-    """The rows 0 = s_0 < s_1 < ... that start a run of equal a_i, then n,
-    by one bisection per run, as a is weakly increasing."""
-    starts = [s := 0]
-    while s < len(a):
-        s = bisect_right(a, a[s], s)
-        starts.append(s)
-    return starts
-
-
-def _columns(a, b):
+def _columns(bounds: HeightBounds):
     """Yield rows 0..k of each column k of the path matrix
     binom(a_i - b_k + 1, k - i + 1), down to its diagonal.
 
     The matrix repeats down its diagonals: where a_i == a_(i-1) and
     b_k == b_(k-1), entry (i, k) equals entry (i-1, k-1). So while b stays
     level, column k is column k-1 shifted down one row, and only the rows
-    that start a run of equal a (_run_starts) take one exact step from row
-    i of column k-1 (row k from the subdiagonal 1): binom(N, K) =
-    binom(N, K - 1) * (N - K + 1) / K, with N = a_i - b_k + 1 and
-    K = k - i + 1. A zero entry (N < 0 or K > N) stays zero under both
-    moves, so this keeps the zero convention. On staircase bounds a has p
-    runs, so a column costs one list shift and at most p steps. The first
-    column, and a column where b changes, are built entry by entry with
-    binomial.
+    that start a run take one step from row i of column k-1 (row k from
+    the subdiagonal 1): binom(N, K) = binom(N, K - 1) * (N - K + 1) / K,
+    with N = a_i - b_k + 1 and K = k - i + 1. The step is exact at any row,
+    and a zero entry (N < 0 or K > N) stays zero under both moves, so this
+    keeps the zero convention. On staircase bounds there are p runs, so a
+    column costs one list shift and at most p steps. The first column, and
+    a column where b changes, are built entry by entry with binomial.
     """
-    starts = _run_starts(a)
+    a, b = bounds.a, bounds.b
+    starts = list(accumulate(map(itemgetter(2), bounds.runs), initial=0))
     for k, bk in enumerate(b):
         if k and bk == b[k - 1]:
             prev = col
@@ -231,34 +233,35 @@ def path_count_matrix(bounds: HeightBounds) -> tuple[tuple[int, ...], ...]:
     determinant counts the paths: the rows i <= j of each column from
     _columns, then the subdiagonal 1 and zeros (see count_paths_det)."""
     n = bounds.n
-    columns = [(col + [1] + [0] * n)[:n] for col in _columns(bounds.a, bounds.b)]
+    columns = [(col + [1] + [0] * n)[:n] for col in _columns(bounds)]
     return tuple(zip(*columns))
 
 
 def check_det(bounds: HeightBounds, max_volume: int | None = None):
-    """Refuse count_paths_det when its work exceeds the cap, estimated as
-    its big-int products and series steps times the 64-bit words of the
-    largest count it can reach, binom(a_n - b_1 + n, n), bounded without
-    computing it, plus one binomial of that size.
+    """Refuse count_paths_det when its work exceeds the cap, estimated in
+    O(runs) as its big-int products and series steps times the 64-bit
+    words of the largest count it can reach, binom(a_n - b_1 + n, n),
+    bounded without computing it, plus one binomial of that size.
 
-    With b level (_level_minors), a run of equal a on rows s..e-1 takes
-    (e - s) * s products and e steps of (1 + x)^(-N), the last run s
-    products, and each gap between two runs one series of at most n + 1
-    terms; of q runs there are at most min(q(q - 1)/2, a_n - a_1) gaps.
-    So one level run costs the binomial alone. When b rises, the
-    recurrence takes n(n + 1)/2 products. math.comb's time grows about as
-    words^1.8, so the binomial is priced at words * isqrt(isqrt(words))^3,
-    about words^1.75 and equal to words below 16 words. Returns the run
-    starts of a (_run_starts) when b is level, else None.
+    With b level (_level_minors), a run on rows s..e-1 takes (e - s) * s
+    products and e steps of (1 + x)^(-N), the last run s products, and
+    each gap between two runs one series of at most n + 1 terms; of q runs
+    there are at most min(q(q - 1)/2, a_n - a_1) gaps. So one run costs
+    the binomial alone. When b rises, the recurrence takes n(n + 1)/2
+    products. math.comb's time grows about as words^1.8, so the binomial
+    is priced at words * isqrt(isqrt(words))^3, about words^1.75 and equal
+    to words below 16 words. Returns the rows that start each run, then n,
+    when b is level, else None.
     """
-    a, b = bounds.a, bounds.b
-    n = len(a)
-    if b[0] == b[-1]:
-        starts = _run_starts(a)
+    runs = bounds.runs
+    (low, b1, _), (top, bn, _) = runs[0], runs[-1]
+    starts = list(accumulate(map(itemgetter(2), runs), initial=0))
+    n = starts[-1]
+    if b1 == bn:
         ends = starts[1:-1]
-        q = len(starts) - 1
+        q = len(runs)
         # the gaps between runs are distinct integers in 1..a_n - a_1
-        gaps = min(q * (q - 1) // 2, a[-1] - a[0])
+        gaps = min(q * (q - 1) // 2, top - low)
         work = (sum(map(mul, map(sub, ends, starts), starts)) + starts[-2]
                 + sum(ends) + gaps * (n + 1))
     else:
@@ -266,7 +269,7 @@ def check_det(bounds: HeightBounds, max_volume: int | None = None):
         work = n * (n + 1) // 2
     # binom(N, K) <= (e N / K)^K < (3 N / K)^K, with N = a_n - b_1 + n and
     # K = min(n, a_n - b_1)
-    height = a[-1] - b[0]
+    height = top - b1
     K = min(n, height)
     bits = K * (-(-3 * (height + n) // K)).bit_length() if K else 1
     words = bits // 64 + 1
@@ -275,15 +278,15 @@ def check_det(bounds: HeightBounds, max_volume: int | None = None):
     return starts
 
 
-def _level_minors(a, b, starts) -> list[int]:
+def _level_minors(runs, starts) -> list[int]:
     """alt[k] = (-1)^k D_k for k < L and then alt[n], where D_k is the
     k-th leading minor of the path matrix for level b and L starts the
-    last run of equal a (starts from _run_starts).
+    last run (starts from check_det).
 
     M[i][k] = binom(N_i, k - i + 1) with N_i = a_i - b + 1 >= 1, a
     coefficient of (1 + x)^(N_i), so count_paths_det's recurrence says
     sum_(i<=n) alt[i] x^i (1 + x)^(N_i) = 1 mod x^(n+1) (alt[n] counts
-    only through its x^n term, so N_n is any). Take a run of equal a on
+    only through its x^n term, so N_n is any). Take a run at height a_s on
     rows s..e-1. Below degree e the rows from e on add nothing, so
     multiplying by (1 + x)^(-N_s) there gives, for s <= k < e,
     alt[k] = binom(-N_s, k) - sum_(i<s) alt[i] binom(a_i - a_s, k - i),
@@ -293,29 +296,29 @@ def _level_minors(a, b, starts) -> list[int]:
     (-1)^n binom(a_n - b + n, n). So the first run takes no product, and
     one run is that binomial alone.
     """
-    n = len(a)
+    n, b = starts[-1], runs[0][1]
     alt = []
     # gap a_s - a_i -> binom(a_i - a_s, d) for d <= n - s2, where the run of
     # row i starts at s2; pairs of runs with equal gaps come in order of
     # s2, so the first pair needs the most terms
     gaps = {}
-    runs = list(zip(starts, starts[1:]))
-    for j, (s, e) in enumerate(runs):
+    spans = list(zip(map(itemgetter(0), runs), starts, starts[1:]))
+    for j, (x, s, e) in enumerate(spans):
         if e < n:
             ks = range(s, e)
-            alt += islice(binomial_series(b - 1 - a[s]), s, e)
+            alt += islice(binomial_series(b - 1 - x), s, e)
         else:
             ks = (n,)
-            alt.append((-1) ** n * comb(a[s] - b + n, n))
+            alt.append((-1) ** n * comb(x - b + n, n))
         # alt[k] less sum_(i<s) alt[i] binom(a_i - a_s, k - i), run by run
-        for s2, e2 in runs[:j]:
-            gap = a[s] - a[s2]
+        for x2, s2, e2 in spans[:j]:
+            gap = x - x2
             terms = gaps.get(gap)
             if terms is None:
                 terms = gaps[gap] = list(islice(binomial_series(-gap), n + 1 - s2))
             part = alt[s2:e2]
-            for x, k in enumerate(ks, s):
-                alt[x] -= sum(map(mul, part, terms[k - s2:k - e2:-1]))
+            for i, k in enumerate(ks, s):
+                alt[i] -= sum(map(mul, part, terms[k - s2:k - e2:-1]))
     return alt
 
 
@@ -329,18 +332,17 @@ def count_paths_det(bounds: HeightBounds, max_volume: int | None = None) -> int:
     leading minors, expanding along the last column gives alt[0] = 1 and
     alt[k+1] = -sum_(i<=k) M[i][k] alt[i] (0-based), with no matrix
     built. Where b rises, that recurrence runs on the columns of _columns,
-    O(n^2) products; where b is level, the minors of each run of equal a
-    are one closed form (_level_minors).
+    O(n^2) products; where b is level, the minors of each run are one
+    closed form (_level_minors).
     """
     starts = check_det(bounds, max_volume)
-    a, b = bounds.a, bounds.b
     if starts is None:
         alt = [1]
-        for col in _columns(a, b):
+        for col in _columns(bounds):
             alt.append(-sum(map(mul, col, alt)))
     else:
-        alt = _level_minors(a, b[0], starts)
-    return -alt[-1] if len(a) % 2 else alt[-1]
+        alt = _level_minors(bounds.runs, starts)
+    return -alt[-1] if bounds.n % 2 else alt[-1]
 
 
 def _walk(total: int, parts: int, minimum: int = 0,
@@ -468,12 +470,10 @@ def iter_height_sequences(bounds: HeightBounds, max_volume: int | None = None):
     per sequence, plus the sequence itself. That also bounds the walk,
     which takes at most n steps per sequence, so n has no other limit.
     """
-    a, b = bounds.a, bounds.b
-    n = bounds.n
-    volume = n + 1
-    for x, y in zip(a, b):
-        volume *= x - y + 1
+    volume = (bounds.n + 1) * prod((x - y + 1) ** m for x, y, m in bounds.runs)
     check_volume(volume, max_volume, what="height-sequence enumeration")
+    a, b = bounds.a, bounds.b
+    n = len(a)
 
     base = min(b[0], 0)
     upper = {k: a[k - 1] - base for k in range(1, n + 1)}

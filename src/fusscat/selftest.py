@@ -151,7 +151,7 @@ def _random_bounds(rng, n_max, height_max):
     a = sorted(rng.randint(0, height_max) for _ in range(n))
     b = sorted(rng.randint(0, height_max) for _ in range(n))
     a = [max(x, y) for x, y in zip(a, b)]
-    return paths.HeightBounds(tuple(a), tuple(b))
+    return paths.HeightBounds.from_rows(a, b)
 
 
 def check_path_counters(samples=200, seed=20260808):
@@ -169,7 +169,7 @@ def check_path_counters(samples=200, seed=20260808):
             for a in seqs:
                 if any(x < y for x, y in zip(a, b)):
                     continue
-                bounds = paths.HeightBounds(a, b)
+                bounds = paths.HeightBounds.from_rows(a, b)
                 count = paths.count_paths_dp(bounds)
                 if paths.count_paths_det(bounds) != count:
                     bad.append(("det", a, b))

@@ -85,12 +85,16 @@ def rank_fractions(rows, ncols):
 
 
 @st.composite
-def height_bounds(draw, max_n=8, min_h=0, max_h=10):
+def bound_rows(draw, max_n=8, min_h=0, max_h=10):
+    """The rows (a, b) of valid height bounds, as tuples."""
     n = draw(st.integers(1, max_n))
     b = sorted(draw(st.lists(st.integers(min_h, max_h), min_size=n, max_size=n)))
     a = sorted(draw(st.lists(st.integers(min_h, max_h), min_size=n, max_size=n)))
-    a = [max(x, y) for x, y in zip(a, b)]
-    return HeightBounds(tuple(a), tuple(b))
+    return tuple(map(max, a, b)), tuple(b)
+
+
+def height_bounds(**kwargs):
+    return bound_rows(**kwargs).map(lambda rows: HeightBounds.from_rows(*rows))
 
 
 @st.composite
@@ -117,7 +121,7 @@ def run_bounds(draw, min_run=3, max_runs=4, min_h=-4, max_h=8):
     b = runs(len(a))
     # lifting a by a constant keeps its runs and puts it above b
     lift = max(0, max(y - x for x, y in zip(a, b)))
-    return HeightBounds([x + lift for x in a], b)
+    return HeightBounds.from_rows([x + lift for x in a], b)
 
 
 @st.composite
@@ -174,14 +178,15 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def run_python(source: str, *argv) -> subprocess.CompletedProcess:
+def run_python(source: str, *argv, timeout=120,
+               preexec_fn=None) -> subprocess.CompletedProcess:
     """Run source with argv in a fresh interpreter that imports the
-    fusscat under test."""
+    fusscat under test; preexec_fn runs in the child before it starts."""
     src = str(Path(fusscat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     return subprocess.run([sys.executable, "-c", source, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=timeout, preexec_fn=preexec_fn)
 
 
 def run_probe(*argv) -> tuple[int, str, set[str]]:

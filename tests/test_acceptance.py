@@ -72,10 +72,13 @@ def _without_first_step_normal(real):
 
 
 def _first_two_runs_merged(real):
-    def starts(a):
-        found = real(a)
-        return found[:1] + found[2:] if len(found) > 2 else found
-    return starts
+    def count(bounds, *args):
+        # _replace skips the constructor's checks, as a fault would
+        (x, y, m), *rest = bounds.runs
+        if rest:
+            bounds = bounds._replace(runs=((x, y, m + rest[0][2]), *rest[1:]))
+        return real(bounds, *args)
+    return count
 
 
 # criterion -> (module, name, a fault planted in the function of that
@@ -92,9 +95,9 @@ FAULTS = {
     6: (polyomino, "krull_dim", lambda real: lambda P: real(P) + 1),
     # the first step normal dropped from every staircase cone
     7: (cone, "stair_normals", _without_first_step_normal),
-    # the det's second run of equal a merged into its first; dp and det
-    # then differ before the enumeration runs
-    8: (paths, "_run_starts", _first_two_runs_merged),
+    # the det's second run merged into its first; dp and det then differ
+    # before the enumeration runs
+    8: (paths, "count_paths_det", _first_two_runs_merged),
     # the search drops one generator
     9: (canonical, "minimal_generators_search", lambda real: lambda *args: real(*args)[1:]),
     # the top numerator coefficient lost

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import resource
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
@@ -241,6 +242,20 @@ class TestExitCodes:
         assert code == 0, err
         assert "Traceback" not in err
         assert json.loads(out)[key] == expected
+
+    @pytest.mark.parametrize("method", ["dp", "det"])
+    def test_huge_staircase_refused_in_little_memory(self, method):
+        # the large-input guard's limits: 2 GB of address space, 20 s. The
+        # staircase's two runs are priced before any of its 10^8 rows exist
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+        proc = run_python("import sys; from fusscat.cli import main; sys.exit(main())",
+                          "gfc", "--n", "100000000", "--t", "50000000", "--p", "2",
+                          "--method", method, timeout=20, preexec_fn=limit)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("refused:")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ("paths", "--a", "100000000000"),

@@ -80,7 +80,8 @@ class TestLazyPackage:
 # equals and hashes as: the tuple of its fields, or a polyomino's cell set
 VALUES = [
     (StairSpec((1,), (2,)), "StairSpec(u=(1,), r=(2,))", ((1,), (2,))),
-    (HeightBounds((1, 2), (0, 0)), "HeightBounds(a=(1, 2), b=(0, 0))", ((1, 2), (0, 0))),
+    (HeightBounds.from_rows((1, 2), (0, 0)), "HeightBounds(runs=((1, 0, 1), (2, 0, 1)))",
+     (((1, 0, 1), (2, 0, 1)),)),
     (InnerInterval((1, 1), (2, 2), (1, 2), (2, 1)),
      "InnerInterval(a=(1, 1), b=(2, 2), c=(1, 2), d=(2, 1))",
      ((1, 1), (2, 2), (1, 2), (2, 1))),
@@ -128,20 +129,26 @@ class TestValueTypes:
 
     def test_inputs_are_stored_as_tuples(self):
         assert StairSpec([1, 2], [3, 4]) == StairSpec((1, 2), (3, 4))
-        assert HeightBounds([2], [0]).a == (2,)
+        assert HeightBounds.from_rows([2], [0]).a == (2,)
+        assert HeightBounds([[2, 0, 1]]).runs == ((2, 0, 1),)
         assert Polyomino([[1, 1], [1, 2]]) == {(1, 1), (1, 2)}
 
     @pytest.mark.parametrize("make,message", [
         (lambda: StairSpec((1, 2), (1,)), "u and r must be nonempty lists of equal length"),
         (lambda: StairSpec((), ()), "u and r must be nonempty lists of equal length"),
         (lambda: StairSpec((1, 0), (1, 1)), "all entries of u and r must be >= 1"),
-        (lambda: HeightBounds((1, 2), (0,)),
+        (lambda: HeightBounds.from_rows((1, 2), (0,)),
          "invalid height bounds: len(a)=2 differs from len(b)=1"),
-        (lambda: HeightBounds((), ()), "invalid height bounds: bounds must have length >= 1"),
-        (lambda: HeightBounds((3, 1), (0, 2)),
+        (lambda: HeightBounds.from_rows((), ()),
+         "invalid height bounds: bounds must have length >= 1"),
+        (lambda: HeightBounds.from_rows((3, 1), (0, 2)),
          "invalid height bounds: a is not weakly increasing: (3, 1); "
          "a_i < b_i at positions [1] (0-based)"),
-        (lambda: HeightBounds((1, 2), (2, 1)),
+        # the run form describes a failure by its rows
+        (lambda: HeightBounds(((3, 0, 1), (1, 2, 1))),
+         "invalid height bounds: a is not weakly increasing: (3, 1); "
+         "a_i < b_i at positions [1] (0-based)"),
+        (lambda: HeightBounds.from_rows((1, 2), (2, 1)),
          "invalid height bounds: b is not weakly increasing: (2, 1); "
          "a_i < b_i at positions [0] (0-based)"),
         (lambda: Matrix(-1, 0, ()), "matrix dimensions must be nonnegative"),

@@ -1,10 +1,12 @@
 from itertools import product
+from operator import ne
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fusscat import paths
+from fusscat.brackets import gfc
 from fusscat.caps import SearchCapExceeded
 from fusscat.exactmat import Matrix, binomial, det_exact
 from fusscat.paths import (
@@ -20,7 +22,7 @@ from fusscat.paths import (
     staircase_bounds,
 )
 
-from conftest import compositions, height_bounds, run_bounds
+from conftest import bound_rows, compositions, height_bounds, run_bounds
 
 
 class TestBounds:
@@ -42,11 +44,37 @@ class TestBounds:
 
     def test_violations_are_described(self):
         with pytest.raises(ValueError, match="not weakly increasing"):
-            HeightBounds((3, 1), (0, 0))
+            HeightBounds.from_rows((3, 1), (0, 0))
         with pytest.raises(ValueError, match="a_i < b_i"):
-            HeightBounds((1, 2), (0, 3))
+            HeightBounds.from_rows((1, 2), (0, 3))
         with pytest.raises(ValueError, match="differs"):
-            HeightBounds((1, 2), (0,))
+            HeightBounds.from_rows((1, 2), (0,))
+
+    @pytest.mark.parametrize("runs", [
+        (), ((1, 0, 0),), ((2, 0, 1), (1, 0, 1)), ((2, 1, 1), (3, 0, 1)),
+        ((0, 1, 1),), ((1, 0, 1), (1, 0, 2)),
+    ], ids=["empty", "length-0", "a-falls", "b-falls", "a-below-b", "equal-neighbours"])
+    def test_malformed_runs_are_rejected(self, runs):
+        with pytest.raises(ValueError, match="invalid height bounds"):
+            HeightBounds(runs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bound_rows(max_n=12, min_h=-3, max_h=3))
+    def test_runs_are_the_maximal_stretches_of_the_rows(self, rows):
+        a, b = rows
+        bounds = HeightBounds.from_rows(a, b)
+        assert (bounds.a, bounds.b, bounds.n) == (a, b, len(a))
+        assert HeightBounds.from_rows(bounds.a, bounds.b) == bounds == HeightBounds(bounds.runs)
+        heads = [run[:2] for run in bounds.runs]
+        assert all(length >= 1 for *_, length in bounds.runs)
+        assert all(map(ne, heads, heads[1:]))
+
+    def test_staircase_runs_are_its_rows(self):
+        for n in range(2, 9):
+            for t in range(1, n):
+                for p in range(1, 5):
+                    a = [-(-i // t) * (n - t) for i in range(1, p * t + 1)]
+                    assert staircase_bounds(n, t, p) == HeightBounds.from_rows(a, [0] * len(a))
 
 
 class TestCounters:
@@ -61,52 +89,52 @@ class TestCounters:
         assert count_paths_det(bounds) == 55
 
     def test_forced_heights(self):
-        bounds = HeightBounds((1, 2, 5), (1, 2, 5))
+        bounds = HeightBounds.from_rows((1, 2, 5), (1, 2, 5))
         assert count_paths_dp(bounds) == 1
         assert count_paths_det(bounds) == 1
 
     def test_small_instance_by_listing(self):
         # admissible sequences: (0,3), (0,4), (0,5)
-        bounds = HeightBounds((0, 5), (0, 3))
+        bounds = HeightBounds.from_rows((0, 5), (0, 3))
         assert count_paths_dp(bounds) == 3
         assert count_paths_det(bounds) == 3
 
     def test_two_disjoint_intervals(self):
         # (y_1, y_2) ranges over {0,1} x {2,3}, all four monotone
-        bounds = HeightBounds((1, 3), (0, 2))
+        bounds = HeightBounds.from_rows((1, 3), (0, 2))
         assert count_paths_det(bounds) == 4
 
     def test_zero_convention_matters(self):
         # With the generalized binomial for negative upper index the
         # (1,2) entry of this matrix would be 3 instead of 0 and the
         # determinant would come out 0 instead of the true count.
-        assert path_count_matrix(HeightBounds((0, 5), (0, 3)))[0] == (1, 0)
+        assert path_count_matrix(HeightBounds.from_rows((0, 5), (0, 3)))[0] == (1, 0)
         assert (
-            count_paths_det(HeightBounds((0, 5), (0, 3)))
-            == len(list(iter_height_sequences(HeightBounds((0, 5), (0, 3)))))
+            count_paths_det(HeightBounds.from_rows((0, 5), (0, 3)))
+            == len(list(iter_height_sequences(HeightBounds.from_rows((0, 5), (0, 3)))))
             == 3
         )
 
     def test_dp_cap_counts_cells(self):
         # n * (a_n - b_1 + 1) = 2 * 6 cells
-        bounds = HeightBounds((-1, 2), (-3, -2))
+        bounds = HeightBounds.from_rows((-1, 2), (-3, -2))
         assert count_paths_dp(bounds, max_volume=12) == 14
         with pytest.raises(SearchCapExceeded) as exc:
             count_paths_dp(bounds, max_volume=11)
         assert exc.value.estimate == 12
 
     def test_negative_heights_allowed(self):
-        bounds = HeightBounds((-1, 2), (-3, -2))
+        bounds = HeightBounds.from_rows((-1, 2), (-3, -2))
         assert count_paths_dp(bounds) == count_paths_det(bounds)
         assert count_paths_dp(bounds) == len(list(iter_height_sequences(bounds)))
 
 
 class TestEnumeration:
     def test_single_step(self):
-        assert list(iter_height_sequences(HeightBounds((1,), (0,)))) == [(0,), (1,)]
+        assert list(iter_height_sequences(HeightBounds.from_rows((1,), (0,)))) == [(0,), (1,)]
 
     def test_listing(self):
-        assert list(iter_height_sequences(HeightBounds((0, 5), (0, 3)))) == [
+        assert list(iter_height_sequences(HeightBounds.from_rows((0, 5), (0, 3)))) == [
             (0, 3), (0, 4), (0, 5),
         ]
 
@@ -118,8 +146,8 @@ class TestEnumeration:
 
     @settings(max_examples=150, deadline=None)
     @given(height_bounds(max_n=4, min_h=-4, max_h=5))
-    @example(HeightBounds((-1, 2), (-3, -2)))
-    @example(HeightBounds((3, 4), (2, 2)))
+    @example(HeightBounds.from_rows((-1, 2), (-3, -2)))
+    @example(HeightBounds.from_rows((3, 4), (2, 2)))
     def test_listing_matches_the_box(self, bounds):
         # every weakly increasing point of the box prod [b_i, a_i], in order
         box = product(*(range(y, x + 1) for x, y in zip(bounds.a, bounds.b)))
@@ -128,13 +156,13 @@ class TestEnumeration:
 
     def test_no_length_limit(self):
         # 2^13 points of the box, 14 entries each; 14 of them increase
-        bounds = HeightBounds((1,) * 13, (0,) * 13)
+        bounds = HeightBounds.from_rows((1,) * 13, (0,) * 13)
         seqs = list(iter_height_sequences(bounds, max_volume=2 ** 13 * 14))
         assert seqs == [(0,) * (13 - k) + (1,) * k for k in range(14)]
 
     def test_volume_cap_reports_estimate(self):
         # the box volume 10^8 times 8 heights plus the sequence
-        bounds = HeightBounds((9,) * 8, (0,) * 8)
+        bounds = HeightBounds.from_rows((9,) * 8, (0,) * 8)
         with pytest.raises(SearchCapExceeded) as exc:
             list(iter_height_sequences(bounds, max_volume=1000))
         assert exc.value.estimate == 9 * 10 ** 8
@@ -167,22 +195,23 @@ class TestAgreementProperties:
         # a in p runs of t and b level: every column after the first is a
         # shift plus one step per run start
         a = bounds.a
-        assert list(_columns(a, bounds.b)) == [
+        assert list(_columns(bounds)) == [
             [binomial(a[i] + 1, k - i + 1) for i in range(k + 1)] for k in range(p * t)]
 
     # b level for a few columns, then changing, with negative heights; and
     # runs of at least 3 in both a and b, so that shifts, run-start steps
     # and rebuilds where b changes all occur in one matrix
-    @example(HeightBounds((-2, 0, 0, 3, 5, 5), (-3, -3, -1, -1, -1, 2)))
-    @example(HeightBounds((-1, -1, -1, 2, 2, 2, 2, 4, 4, 4), (-3, -3, -3, -3, 0, 0, 0, 1, 1, 1)))
+    @example(HeightBounds.from_rows((-2, 0, 0, 3, 5, 5), (-3, -3, -1, -1, -1, 2)))
+    @example(HeightBounds.from_rows((-1, -1, -1, 2, 2, 2, 2, 4, 4, 4),
+                                    (-3, -3, -3, -3, 0, 0, 0, 1, 1, 1)))
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(height_bounds(max_n=10, min_h=-4, max_h=6), run_bounds()))
     def test_columns_match_entry_formula(self, bounds):
         # _columns shifts a column from the last one while b stays level,
-        # steps row 0 and the rows that start a run of equal a, and calls
-        # binomial at the first column and where b changes
+        # steps row 0 and the rows that start a run, and calls binomial at
+        # the first column and where b changes
         a, b = bounds.a, bounds.b
-        assert list(_columns(a, b)) == [
+        assert list(_columns(bounds)) == [
             [binomial(a[i] - b[k] + 1, k - i + 1) for i in range(k + 1)] for k in range(bounds.n)]
         assert count_paths_det(bounds) == count_paths_dp(bounds)
 
@@ -190,18 +219,18 @@ class TestAgreementProperties:
     # count in closed form: one run throughout, a long first run, a long
     # last run, and b rising inside a's last run, which leaves a short last
     # level run
-    @example(HeightBounds((3,) * 8, (0,) * 8))
-    @example(HeightBounds((2,) * 6 + (5, 9), (0,) * 8))
-    @example(HeightBounds((1, 4) + (7,) * 6, (0,) * 8))
-    @example(HeightBounds((1, 1) + (6,) * 6, (0, 0, 0, 0, 2, 2, 5, 5)))
+    @example(HeightBounds.from_rows((3,) * 8, (0,) * 8))
+    @example(HeightBounds.from_rows((2,) * 6 + (5, 9), (0,) * 8))
+    @example(HeightBounds.from_rows((1, 4) + (7,) * 6, (0,) * 8))
+    @example(HeightBounds.from_rows((1, 1) + (6,) * 6, (0, 0, 0, 0, 2, 2, 5, 5)))
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(height_bounds(max_n=8, max_h=10), run_bounds(min_h=0, max_h=10)))
     def test_det_equals_dp(self, bounds):
         assert count_paths_det(bounds) == count_paths_dp(bounds)
 
-    @example(HeightBounds((-2,) * 7, (-5,) * 7))
-    @example(HeightBounds((-3,) * 5 + (0, 4), (-4,) * 7))
-    @example(HeightBounds((-4, 0) + (3,) * 5, (-5, -5, -5, -1, -1, -1, 2)))
+    @example(HeightBounds.from_rows((-2,) * 7, (-5,) * 7))
+    @example(HeightBounds.from_rows((-3,) * 5 + (0, 4), (-4,) * 7))
+    @example(HeightBounds.from_rows((-4, 0) + (3,) * 5, (-5, -5, -5, -1, -1, -1, 2)))
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(height_bounds(max_n=8, min_h=-5, max_h=10), run_bounds()))
     def test_det_equals_dp_with_negative_heights(self, bounds):
@@ -214,13 +243,13 @@ class TestAgreementProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.integers(-6, 6), st.integers(0, 8))
     def test_det_on_one_level_run_is_a_binomial(self, n, low, width):
-        bounds = HeightBounds((low + width,) * n, (low,) * n)
+        bounds = HeightBounds.from_rows((low + width,) * n, (low,) * n)
         assert count_paths_det(bounds) == binomial(width + n, n) == count_paths_dp(bounds)
 
-    @example(HeightBounds((2,) * 6, (0,) * 6))
-    @example(HeightBounds((-1,) * 4 + (1, 2), (-1,) * 6))
-    @example(HeightBounds((0, 1) + (3,) * 4, (0,) * 6))
-    @example(HeightBounds((0, 0) + (3,) * 5, (-1, -1, -1, 0, 0, 2, 2)))
+    @example(HeightBounds.from_rows((2,) * 6, (0,) * 6))
+    @example(HeightBounds.from_rows((-1,) * 4 + (1, 2), (-1,) * 6))
+    @example(HeightBounds.from_rows((0, 1) + (3,) * 4, (0,) * 6))
+    @example(HeightBounds.from_rows((0, 0) + (3,) * 5, (-1, -1, -1, 0, 0, 2, 2)))
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(height_bounds(max_n=5, max_h=6),
                      run_bounds(min_run=2, max_runs=2, min_h=-1, max_h=1)))
@@ -239,14 +268,14 @@ class TestAgreementProperties:
         # keep a weakly increasing: bump everything after i up to a[i]
         for j in range(i + 1, bounds.n):
             raised_a[j] = max(raised_a[j], raised_a[i])
-        assert count_paths_dp(HeightBounds(tuple(raised_a), bounds.b)) >= base
+        assert count_paths_dp(HeightBounds.from_rows(tuple(raised_a), bounds.b)) >= base
 
         raised_b = list(bounds.b)
         raised_b[i] += 1
         for j in range(i + 1, bounds.n):
             raised_b[j] = max(raised_b[j], raised_b[i])
         if all(x >= y for x, y in zip(bounds.a, raised_b)):
-            assert count_paths_dp(HeightBounds(bounds.a, tuple(raised_b))) <= base
+            assert count_paths_dp(HeightBounds.from_rows(bounds.a, tuple(raised_b))) <= base
 
 
 @st.composite
@@ -256,7 +285,7 @@ def rising_bounds(draw):
     rows = draw(st.integers(2, 5))
     top_b = head.b[-1] + draw(st.integers(1, 4))
     top_a = max(head.a[-1], top_b) + draw(st.integers(0, 4))
-    return HeightBounds(head.a + (top_a,) * rows, head.b + (top_b,) * rows)
+    return HeightBounds.from_rows(head.a + (top_a,) * rows, head.b + (top_b,) * rows)
 
 
 @st.composite
@@ -265,7 +294,7 @@ def level_bounds(draw, max_n=10, min_h=-4, max_h=8):
     heights make runs of equal a likely."""
     a = sorted(draw(st.lists(st.integers(min_h, max_h), min_size=1, max_size=max_n)))
     low = draw(st.integers(min_h - 2, a[0]))
-    return HeightBounds(a, (low,) * len(a))
+    return HeightBounds.from_rows(a, (low,) * len(a))
 
 
 class TestDetClosedForms:
@@ -275,22 +304,22 @@ class TestDetClosedForms:
 
     # one run; a first run of one row; runs of one row each; a last run of
     # one row; a gap shared by two pairs of runs
-    @example(HeightBounds((3,) * 5, (0,) * 5))
-    @example(HeightBounds((-1, 2, 2, 2), (-3,) * 4))
-    @example(HeightBounds((1, 2, 3, 4, 5, 6), (0,) * 6))
-    @example(HeightBounds((0, 0, 0, 4), (0,) * 4))
-    @example(HeightBounds((1, 1, 3, 3, 5, 5, 5), (-1,) * 7))
+    @example(HeightBounds.from_rows((3,) * 5, (0,) * 5))
+    @example(HeightBounds.from_rows((-1, 2, 2, 2), (-3,) * 4))
+    @example(HeightBounds.from_rows((1, 2, 3, 4, 5, 6), (0,) * 6))
+    @example(HeightBounds.from_rows((0, 0, 0, 4), (0,) * 4))
+    @example(HeightBounds.from_rows((1, 1, 3, 3, 5, 5, 5), (-1,) * 7))
     @settings(max_examples=200, deadline=None)
     @given(level_bounds())
     def test_level_minors_are_the_leading_minors(self, bounds):
         # alt[k] = (-1)^k D_k for every row k before the last run, then
         # alt[n], each against the dense minor of path_count_matrix
         a, n = bounds.a, bounds.n
-        starts = paths._run_starts(a)
+        starts = [0] + [i for i in range(1, n) if a[i] != a[i - 1]] + [n]
         matrix = path_count_matrix(bounds)
         minors = [(-1) ** k * det_exact(Matrix.from_rows([row[:k] for row in matrix[:k]]))
                   for k in range(n + 1)]
-        assert paths._level_minors(a, bounds.b[0], starts) == minors[:starts[-2]] + [minors[n]]
+        assert paths._level_minors(bounds.runs, starts) == minors[:starts[-2]] + [minors[n]]
 
     def test_first_run_closed_form_in_every_column(self):
         # a first run of r rows at height m - 1, with and without a middle
@@ -299,12 +328,12 @@ class TestDetClosedForms:
             for r in range(1, 13):
                 for middle in ((), (m, m)):
                     a = (m - 1,) * r + middle + (m + 2,) * (m + 1)
-                    bounds = HeightBounds(a, (0,) * len(a))
+                    bounds = HeightBounds.from_rows(a, (0,) * len(a))
                     assert count_paths_det(bounds) == count_paths_dp(bounds)
 
-    @example(HeightBounds((0, 0, 3, 3, 3), (0, 0, 2, 2, 2)))
-    @example(HeightBounds((-3, 1, 1, 4, 4), (-3, -3, 0, 3, 3)))
-    @example(HeightBounds((2, 2, 2, 9, 9, 9), (0, 0, 0, 8, 8, 8)))
+    @example(HeightBounds.from_rows((0, 0, 3, 3, 3), (0, 0, 2, 2, 2)))
+    @example(HeightBounds.from_rows((-3, 1, 1, 4, 4), (-3, -3, 0, 3, 3)))
+    @example(HeightBounds.from_rows((2, 2, 2, 9, 9, 9), (0, 0, 0, 8, 8, 8)))
     @settings(max_examples=300, deadline=None)
     @given(rising_bounds())
     def test_det_equals_dp_with_b_rising_into_the_last_run(self, bounds):
@@ -321,7 +350,7 @@ class TestDetClosedForms:
 
     @pytest.mark.parametrize("bounds", [
         staircase_bounds(7, 3, 1), staircase_bounds(9, 4, 3), staircase_bounds(6, 1, 6),
-        staircase_bounds(40, 30, 4), HeightBounds((-2, 0, 0, 3, 5, 5), (-3,) * 6),
+        staircase_bounds(40, 30, 4), HeightBounds.from_rows((-2, 0, 0, 3, 5, 5), (-3,) * 6),
     ], ids=["p1", "p3", "p6", "p4-order-120", "negative"])
     def test_level_b_builds_no_column(self, monkeypatch, bounds):
         # with b level every run, middle runs included, is its closed form
@@ -331,19 +360,32 @@ class TestDetClosedForms:
         assert count_paths_det(bounds) == expected
         assert entered == []
 
+    @pytest.mark.parametrize("n,t,p", [(80, 45, 2), (40, 30, 4), (60, 12, 5)])
+    def test_staircases_expand_no_row(self, monkeypatch, n, t, p):
+        # dp and det read the runs of a staircase; neither builds its rows
+        expected = {m: gfc(n, t, p, m) for m in ("dp", "det")}
+
+        def expand(bounds):
+            raise AssertionError("rows expanded")
+        monkeypatch.setattr(HeightBounds, "a", property(expand))
+        monkeypatch.setattr(HeightBounds, "b", property(expand))
+        assert {m: gfc(n, t, p, m) for m in ("dp", "det")} == expected
+        with pytest.raises(AssertionError, match="rows expanded"):
+            staircase_bounds(n, t, p).a
+
     def test_rising_b_builds_columns(self, monkeypatch):
         # the spies above can fail: where b rises, the recurrence reads
         # every column of _columns
-        bounds = HeightBounds((1, 1, 3, 3), (0, 0, 1, 1))
+        bounds = HeightBounds.from_rows((1, 1, 3, 3), (0, 0, 1, 1))
         entered = []
         real = paths._columns
 
-        def spy(a, b):
-            entered.append((a, b))
-            return real(a, b)
+        def spy(bounds):
+            entered.append(bounds)
+            return real(bounds)
         monkeypatch.setattr(paths, "_columns", spy)
         assert count_paths_det(bounds) == count_paths_dp(bounds) == 18
-        assert entered == [(bounds.a, bounds.b)]
+        assert entered == [bounds]
 
 
 class TestDetCap:
@@ -357,9 +399,9 @@ class TestDetCap:
         # n + 1 = 7 steps each, plus 1; binom(12, 6) fits one word
         (staircase_bounds(4, 2, 3), 36),
         # b rises: the recurrence's 4 * 5 / 2 products, plus 1
-        (HeightBounds((1, 1, 3, 3), (0, 0, 1, 1)), 11),
+        (HeightBounds.from_rows((1, 1, 3, 3), (0, 0, 1, 1)), 11),
         # one level run is one binomial
-        (HeightBounds((5,) * 3, (0,) * 3), 1),
+        (HeightBounds.from_rows((5,) * 3, (0,) * 3), 1),
         # binom(400000, 200000) < 6^200000, 600000 bits in 9376 words, one
         # binomial priced 9376 * isqrt(isqrt(9376))^3 = 9376 * 9^3
         (staircase_bounds(400000, 200000, 1), 6_835_104),
