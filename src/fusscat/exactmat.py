@@ -29,14 +29,18 @@ def binomial(m: int, k: int) -> int:
     return math.comb(m, k)
 
 
-def binomial_series(top: int, sign: int = 1):
-    """Yield sign^j binom(top, j), j = 0, 1, ..., the coefficients of
-    (1 + sign*x)^top (sign 1 or -1) for any integer top, without end: for
-    top = -m < 0 the generalized binom(-m, j) = (-1)^j binom(m + j - 1, j),
-    for top >= 0 zeros past degree top. Each step is one big-int product
+def binomial_series(top: int, sign: int = 1, start: int = 0):
+    """Yield sign^j binom(top, j), j = start, start + 1, ..., the
+    coefficients of (1 + sign*x)^top (sign 1 or -1) for any integer top,
+    without end: for top = -m < 0 the generalized binom(-m, j) =
+    (-1)^j binom(m + j - 1, j), for top >= 0 zeros past degree top. The
+    first term is one math.comb; each step after it is one big-int product
     by the small factor f and one exact division."""
-    c, f = 1, sign * top
-    for j in count(1):
+    c = math.comb(top, start) if top >= 0 else math.comb(start - top - 1, start)
+    if start % 2 and (sign < 0) != (top < 0):
+        c = -c
+    f = sign * (top - start)
+    for j in count(start + 1):
         yield c
         c = c * f // j
         f -= sign

@@ -7,14 +7,16 @@ with b_i <= y_i <= a_i. HeightBounds holds them as runs, the maximal
 stretches of rows with equal a_i and equal b_i, inside which only their
 order constrains the heights; a staircase is p runs, so every cap is
 checked in O(runs) before any row exists. Three routes are provided: a
-dynamic program with the first run in closed form, one accumulate per
-row up to the last run and that run folded into one weighted sum, capped
-on its n * (a_n - b_1 + 1) cells; the binomial determinant identity, by
-the leading minors of its Hessenberg matrix, capped on its work
-(check_det): one closed form per run while b is level (_level_minors),
-the plain recurrence on the columns of _columns where b rises. For small
-instances there is exhaustive enumeration on the package's one
-composition walker, _walk.
+dynamic program with the first run in closed form, the rows up to the
+last run as one chain of accumulate iterators per run, made a list
+every _CHAIN links, and the last run folded into one weighted sum,
+capped on its n * (a_n - b_1 + 1) cells; the binomial determinant
+identity, by the leading minors of its Hessenberg matrix, capped on its
+work (check_det): one closed form per run, each run's series started at
+its first row, up to the row where b first rises (_level_minors), then
+the plain recurrence on the columns of _columns. For small instances
+there is exhaustive enumeration on the package's one composition
+walker, _walk.
 
 _walk visits the internal nodes of the prefix-sum tree of the bounded
 compositions. A node is a fixed prefix of prefix sums plus the range
@@ -160,6 +162,11 @@ def staircase_bounds(n: int, t: int, p: int) -> HeightBounds:
     return HeightBounds((k * (n - t), 0, t) for k in range(1, p + 1))
 
 
+# accumulate iterators chained per list in count_paths_dp: each link adds
+# one nested C call per value, so an unbounded chain overflows the C stack
+_CHAIN = 64
+
+
 def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     """Number of admissible height sequences, by prefix-sum DP; refused
     when its n * (a_n - b_1 + 1) cells exceed the cap.
@@ -168,7 +175,10 @@ def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     binom(h + r - 1, r - 1) ways, lo = b_1; when that run is every row, the
     count is binom(a_1 - b_1 + n, n). Each later run starts with one
     accumulate, extended to its a_i and zeroed below its b_i, and each
-    further row of a middle run is a plain accumulate. From the first row
+    further row of a middle run is a plain accumulate; the accumulates
+    from one extension to the next are chained as iterators, so the row
+    is a list only at every _CHAIN-th link and before the extension, and
+    a run of any length nests at most _CHAIN C calls. From the first row
     of the last run, of m rows, the k = m - 1 heights left rise from that
     row's height y to at most a_n under no other bound: binom(a_n - y + k, k)
     ways. On staircases that walks the p - 2 middle runs.
@@ -186,9 +196,13 @@ def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     rest = 0
     for x, y, length in runs[1:]:
         # y_i >= y_(i-1): prefix sums, for the rest of the run before and this
-        # run's first row; then the old total above the old a_i, zero below b_i
-        for _ in range(rest + 1):
-            row = list(accumulate(row))
+        # run's first row, chained as iterators and made a list every _CHAIN
+        # links and at the last; then the old total above the old a_i, zero
+        # below b_i
+        for step in range(rest, -1, -1):
+            row = accumulate(row)
+            if not step % _CHAIN:
+                row = list(row)
         row += [row[-1]] * (x - top)
         row[: y - lo] = [0] * (y - lo)
         top, rest = x, length - 1
@@ -196,8 +210,8 @@ def count_paths_dp(bounds: HeightBounds, max_volume: int | None = None) -> int:
     return sum(map(mul, reversed(row), binomial_series(-m, -1)))
 
 
-def _columns(bounds: HeightBounds):
-    """Yield rows 0..k of each column k of the path matrix
+def _columns(bounds: HeightBounds, first: int = 0):
+    """Yield rows 0..k of each column k >= first of the path matrix
     binom(a_i - b_k + 1, k - i + 1), down to its diagonal.
 
     The matrix repeats down its diagonals: where a_i == a_(i-1) and
@@ -208,13 +222,14 @@ def _columns(bounds: HeightBounds):
     with N = a_i - b_k + 1 and K = k - i + 1. The step is exact at any row,
     and a zero entry (N < 0 or K > N) stays zero under both moves, so this
     keeps the zero convention. On staircase bounds there are p runs, so a
-    column costs one list shift and at most p steps. The first column, and
-    a column where b changes, are built entry by entry with binomial.
+    column costs one list shift and at most p steps. Column first, and a
+    column where b changes, are built entry by entry with binomial.
     """
     a, b = bounds.a, bounds.b
     starts = list(accumulate(map(itemgetter(2), bounds.runs), initial=0))
-    for k, bk in enumerate(b):
-        if k and bk == b[k - 1]:
+    for k in range(first, len(b)):
+        bk = b[k]
+        if k > first and bk == b[k - 1]:
             prev = col
             col = [0, *prev]
             # N - K + 1 = (a_i + i) - (b_k + k - 1)
@@ -243,45 +258,55 @@ def check_det(bounds: HeightBounds, max_volume: int | None = None):
     words of the largest count it can reach, binom(a_n - b_1 + n, n),
     bounded without computing it, plus one binomial of that size.
 
-    With b level (_level_minors), a run on rows s..e-1 takes (e - s) * s
-    products and e steps of (1 + x)^(-N), the last run s products, and
-    each gap between two runs one series of at most n + 1 terms; of q runs
-    there are at most min(q(q - 1)/2, a_n - a_1) gaps. So one run costs
-    the binomial alone. When b rises, the recurrence takes n(n + 1)/2
-    products. math.comb's time grows about as words^1.8, so the binomial
-    is priced at words * isqrt(isqrt(words))^3, about words^1.75 and equal
-    to words below 16 words. Returns the rows that start each run, then n,
-    when b is level, else None.
+    The q runs before b first rises, at row K (K = n when b is level), go
+    to _level_minors: a run on rows s..e-1 takes (e - s) * s products and
+    its series of (1 + x)^(-N) from term s, priced at e steps, and each
+    gap between two of them one series of at most K + 1 terms; of q runs
+    there are at most min(q(q - 1)/2, a_K - a_1) gaps. With b level the
+    last run takes s products, so one run costs the binomial alone.
+    Otherwise the last of the q runs also forms its rows and row K, and
+    the recurrence on columns K..n-1 takes (n(n + 1) - K(K + 1))/2
+    products; where that prices the q runs above the K(K + 1)/2 products
+    the recurrence would take on their columns, K is 0 and the recurrence
+    takes every column, so no estimate exceeds the recurrence's. math.comb's
+    time grows about as words^1.8, so the binomial is priced at
+    words * isqrt(isqrt(words))^3, about words^1.75 and equal to words
+    below 16 words. Returns the rows that start each of the q runs, then K.
     """
     runs = bounds.runs
     (low, b1, _), (top, bn, _) = runs[0], runs[-1]
     starts = list(accumulate(map(itemgetter(2), runs), initial=0))
     n = starts[-1]
-    if b1 == bn:
-        ends = starts[1:-1]
-        q = len(runs)
-        # the gaps between runs are distinct integers in 1..a_n - a_1
-        gaps = min(q * (q - 1) // 2, top - low)
-        work = (sum(map(mul, map(sub, ends, starts), starts)) + starts[-2]
-                + sum(ends) + gaps * (n + 1))
+    # b is weakly increasing, so its runs at b_1 come first
+    q = len(runs) if bn == b1 else [y for _, y, _ in runs].count(b1)
+    K, last = starts[q], starts[q - 1]
+    ends = starts[1:q]
+    # the gaps between the q runs are distinct integers in 1..a_K - a_1
+    gaps = min(q * (q - 1) // 2, runs[q - 1][0] - low)
+    work = sum(map(mul, map(sub, ends, starts), starts)) + sum(ends) + gaps * (K + 1)
+    if K == n:
+        work += last
     else:
-        starts = None
-        work = n * (n + 1) // 2
-    # binom(N, K) <= (e N / K)^K < (3 N / K)^K, with N = a_n - b_1 + n and
-    # K = min(n, a_n - b_1)
+        work += (K + 1 - last) * last + K + 1
+        if work > K * (K + 1) // 2:
+            work = q = K = 0
+        work += (n * (n + 1) - K * (K + 1)) // 2
+    # binom(N, M) <= (e N / M)^M < (3 N / M)^M, with N = a_n - b_1 + n and
+    # M = min(n, a_n - b_1)
     height = top - b1
-    K = min(n, height)
-    bits = K * (-(-3 * (height + n) // K)).bit_length() if K else 1
+    M = min(n, height)
+    bits = M * (-(-3 * (height + n) // M)).bit_length() if M else 1
     words = bits // 64 + 1
     check_volume((work + isqrt(isqrt(words)) ** 3) * words, max_volume,
                  what="path determinant")
-    return starts
+    return starts[:q + 1]
 
 
-def _level_minors(runs, starts) -> list[int]:
+def _level_minors(runs, starts, every_row: bool = False) -> list[int]:
     """alt[k] = (-1)^k D_k for k < L and then alt[n], where D_k is the
     k-th leading minor of the path matrix for level b and L starts the
-    last run (starts from check_det).
+    last run (starts from check_det, ending at n); with every_row,
+    alt[k] for every k <= n.
 
     M[i][k] = binom(N_i, k - i + 1) with N_i = a_i - b + 1 >= 1, a
     coefficient of (1 + x)^(N_i), so count_paths_det's recurrence says
@@ -290,32 +315,35 @@ def _level_minors(runs, starts) -> list[int]:
     rows s..e-1. Below degree e the rows from e on add nothing, so
     multiplying by (1 + x)^(-N_s) there gives, for s <= k < e,
     alt[k] = binom(-N_s, k) - sum_(i<s) alt[i] binom(a_i - a_s, k - i),
-    generalized binomials read off binomial_series, one series per gap
-    a_s - a_i > 0, shared by the runs with that gap. Of the last run only
-    alt[n] is formed, whose first term is binom(-N, n) =
-    (-1)^n binom(a_n - b + n, n). So the first run takes no product, and
-    one run is that binomial alone.
+    generalized binomials read off binomial_series: the run's own series
+    from term s, and one series per gap a_s - a_i > 0, shared by the runs
+    with that gap and built only as far as a pair reads it. The last run
+    reaches k = n, and without every_row forms only alt[n], whose first
+    term is binom(-N, n) = (-1)^n binom(a_n - b + n, n). So the first run
+    takes no product, and one run is that binomial alone.
     """
     n, b = starts[-1], runs[0][1]
     alt = []
-    # gap a_s - a_i -> binom(a_i - a_s, d) for d <= n - s2, where the run of
-    # row i starts at s2; pairs of runs with equal gaps come in order of
-    # s2, so the first pair needs the most terms
+    # gap a_s - a_i -> (binom(a_i - a_s, d) for d up to the last k - s2 read,
+    # where the run of row i starts at s2; the series that extends them)
     gaps = {}
     spans = list(zip(map(itemgetter(0), runs), starts, starts[1:]))
     for j, (x, s, e) in enumerate(spans):
-        if e < n:
-            ks = range(s, e)
-            alt += islice(binomial_series(b - 1 - x), s, e)
+        if e < n or every_row:
+            ks = range(s, e if e < n else n + 1)
+            alt += islice(binomial_series(b - 1 - x, start=s), len(ks))
         else:
             ks = (n,)
             alt.append((-1) ** n * comb(x - b + n, n))
+        last = ks[-1]
         # alt[k] less sum_(i<s) alt[i] binom(a_i - a_s, k - i), run by run
         for x2, s2, e2 in spans[:j]:
             gap = x - x2
-            terms = gaps.get(gap)
-            if terms is None:
-                terms = gaps[gap] = list(islice(binomial_series(-gap), n + 1 - s2))
+            if gap not in gaps:
+                gaps[gap] = [], binomial_series(-gap)
+            terms, series = gaps[gap]
+            if len(terms) <= last - s2:
+                terms += islice(series, last - s2 + 1 - len(terms))
             part = alt[s2:e2]
             for i, k in enumerate(ks, s):
                 alt[i] -= sum(map(mul, part, terms[k - s2:k - e2:-1]))
@@ -331,17 +359,20 @@ def count_paths_det(bounds: HeightBounds, max_volume: int | None = None) -> int:
     as a_i >= a_(i-1) >= b_(i-1). So with alt[i] = (-1)^i D_i, D_i its
     leading minors, expanding along the last column gives alt[0] = 1 and
     alt[k+1] = -sum_(i<=k) M[i][k] alt[i] (0-based), with no matrix
-    built. Where b rises, that recurrence runs on the columns of _columns,
-    O(n^2) products; where b is level, the minors of each run are one
-    closed form (_level_minors).
+    built. Up to row K, where b first rises (K = n when b is level), that
+    recurrence reads only columns with b = b_1, so the minors of each run
+    are one closed form (_level_minors); from K on it runs on the columns
+    of _columns, O(n^2 - K^2) products. check_det sets K to 0 where the
+    runs before it would cost more than the recurrence.
     """
     starts = check_det(bounds, max_volume)
-    if starts is None:
-        alt = [1]
-        for col in _columns(bounds):
-            alt.append(-sum(map(mul, col, alt)))
+    runs = bounds.runs[:len(starts) - 1]
+    if runs == bounds.runs:
+        alt = _level_minors(runs, starts)
     else:
-        alt = _level_minors(bounds.runs, starts)
+        alt = _level_minors(runs, starts, every_row=True) if runs else [1]
+        for col in _columns(bounds, starts[-1]):
+            alt.append(-sum(map(mul, col, alt)))
     return -alt[-1] if bounds.n % 2 else alt[-1]
 
 

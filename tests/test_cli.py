@@ -257,6 +257,25 @@ class TestExitCodes:
         assert proc.stderr.startswith("refused:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv,key,expected", [
+        # b rises only in the last row: one closed form for the level run,
+        # then one column of the recurrence
+        (("paths", "--a", ",".join(["5"] * 4999 + ["6"]),
+          "--b=" + ",".join(["0"] * 4999 + ["1"]), "--method", "det"),
+         "count", "52213666723970750"),
+        # a middle run of 800000 rows: its prefix sums chain accumulate
+        # iterators, which an uncut chain would nest past the C stack
+        (("gfc", "--n", "800001", "--t", "800000", "--p", "3", "--method", "dp"),
+         "value", "1365337173336800001"),
+    ], ids=["paths-det-late-rising-b", "gfc-dp-long-run"])
+    def test_long_runs_answer_in_a_child(self, argv, key, expected):
+        # in a child process, so that a crash of the interpreter fails
+        # this test alone
+        proc = run_python("import sys; from fusscat.cli import main; sys.exit(main())",
+                          *argv, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)[key] == expected
+
     @pytest.mark.parametrize("argv", [
         ("paths", "--a", "100000000000"),
         # the 4 DP cells do not fit the cap; under --method all the

@@ -34,6 +34,15 @@ class TestBinomialSeries:
                 if top >= 0:
                     assert got[top + 1:] == [0] * (39 - top)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-40, 40), st.sampled_from((1, -1)), st.integers(0, 60),
+           st.integers(0, 30))
+    def test_series_from_any_term(self, top, sign, start, k):
+        # the series from term start is the tail of the series from 0: its
+        # first term from math.comb, then the same steps
+        whole = list(islice(binomial_series(top, sign), start + k))
+        assert list(islice(binomial_series(top, sign, start), k)) == whole[start:]
+
 
 class TestBinomial:
     @pytest.mark.parametrize(

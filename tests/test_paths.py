@@ -123,6 +123,17 @@ class TestCounters:
             count_paths_dp(bounds, max_volume=11)
         assert exc.value.estimate == 12
 
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 128, 129, 10_000])
+    def test_dp_chains_a_long_middle_run(self, length):
+        # y_1 = 0 and y_n = 5 are forced, so the middle run alone counts:
+        # binom(5 + length, length), as a single run of that length. Its
+        # length accumulates reach the DP as one chain, cut every _CHAIN
+        # links; b rises only in the last row, so det answers it too
+        bounds = HeightBounds(((0, 0, 1), (5, 0, length), (5, 5, 1)))
+        expected = binomial(5 + length, length)
+        assert count_paths_dp(HeightBounds(((5, 0, length),))) == expected
+        assert count_paths_dp(bounds) == count_paths_det(bounds) == expected
+
     def test_negative_heights_allowed(self):
         bounds = HeightBounds.from_rows((-1, 2), (-3, -2))
         assert count_paths_dp(bounds) == count_paths_det(bounds)
@@ -297,6 +308,18 @@ def level_bounds(draw, max_n=10, min_h=-4, max_h=8):
     return HeightBounds.from_rows(a, (low,) * len(a))
 
 
+@st.composite
+def late_rising_bounds(draw):
+    """Height bounds whose b is level but in its last one to three rows,
+    where it rises; the level rows come in runs of equal a."""
+    head = draw(level_bounds(max_n=12))
+    low, top = head.runs[0][1], head.runs[-1][0]
+    b = sorted(draw(st.lists(st.integers(low + 1, low + 6), min_size=1, max_size=3)))
+    # sorting keeps a_i >= b_i, as b is sorted
+    a = sorted(max(top, y) + draw(st.integers(0, 3)) for y in b)
+    return HeightBounds.from_rows(head.a + tuple(a), head.b + tuple(b))
+
+
 class TestDetClosedForms:
     """With b level, count_paths_det forms the minors of each run of equal a
     by one closed form (_level_minors); where b rises, it runs the plain
@@ -339,6 +362,16 @@ class TestDetClosedForms:
     def test_det_equals_dp_with_b_rising_into_the_last_run(self, bounds):
         assert count_paths_det(bounds) == count_paths_dp(bounds)
 
+    # one level run, then b rises; runs of one row, whose closed forms
+    # would price above the recurrence; two rows that rise
+    @example(HeightBounds(((5, 0, 40), (6, 1, 1))))
+    @example(HeightBounds.from_rows(range(12), (0,) * 11 + (1,)))
+    @example(HeightBounds.from_rows((1, 1, 4, 4, 4, 5), (-1,) * 4 + (2, 3)))
+    @settings(max_examples=300, deadline=None)
+    @given(late_rising_bounds())
+    def test_det_equals_dp_with_b_rising_in_the_last_rows(self, bounds):
+        assert count_paths_det(bounds) == count_paths_dp(bounds)
+
     @pytest.mark.parametrize("n,t", [(2, 1), (9, 4), (80, 45), (300, 150)])
     def test_two_runs_build_no_column(self, monkeypatch, n, t):
         # a p = 2 staircase is a first and a last level run, both closed forms
@@ -374,18 +407,28 @@ class TestDetClosedForms:
             staircase_bounds(n, t, p).a
 
     def test_rising_b_builds_columns(self, monkeypatch):
-        # the spies above can fail: where b rises, the recurrence reads
-        # every column of _columns
-        bounds = HeightBounds.from_rows((1, 1, 3, 3), (0, 0, 1, 1))
+        # the spies above can fail: where b rises, at row K, the recurrence
+        # reads the columns of _columns from K on, or every column where the
+        # runs before K would be priced above the recurrence on theirs
+        cases = [
+            (HeightBounds.from_rows((1, 1, 3, 3), (0, 0, 1, 1)), 2),
+            # one level run before b rises at row 4999
+            (HeightBounds(((5, 0, 4999), (6, 1, 1))), 4999),
+            # 29 level runs of one row would be priced at 1710 products and
+            # steps, above the 435 the recurrence takes on their columns
+            (HeightBounds.from_rows(range(30), (0,) * 29 + (1,)), 0),
+        ]
+        expected = [count_paths_dp(bounds) for bounds, _ in cases]
+        assert expected[0] == 18
         entered = []
         real = paths._columns
 
-        def spy(bounds):
-            entered.append(bounds)
-            return real(bounds)
+        def spy(*args):
+            entered.append(args)
+            return real(*args)
         monkeypatch.setattr(paths, "_columns", spy)
-        assert count_paths_det(bounds) == count_paths_dp(bounds) == 18
-        assert entered == [bounds]
+        assert [count_paths_det(bounds) for bounds, _ in cases] == expected
+        assert entered == cases
 
 
 class TestDetCap:
@@ -398,8 +441,17 @@ class TestDetCap:
         # in the last, steps 2 + 4 of (1 + x)^(-N), 3 pairs of runs at
         # n + 1 = 7 steps each, plus 1; binom(12, 6) fits one word
         (staircase_bounds(4, 2, 3), 36),
-        # b rises: the recurrence's 4 * 5 / 2 products, plus 1
+        # b rises at row 2: the first run's 3 steps, then the recurrence's
+        # 4 * 5 / 2 - 2 * 3 / 2 products on columns 2 and 3, plus 1
         (HeightBounds.from_rows((1, 1, 3, 3), (0, 0, 1, 1)), 11),
+        # b rises at row 4999: the first run's 5000 steps, then the 5000
+        # products of the last column, plus 1, in 2 words; the whole
+        # recurrence would be priced (5000 * 5001 / 2 + 1) * 2 = 25_005_002
+        (HeightBounds(((5, 0, 4999), (6, 1, 1))), 20_002),
+        # b rises at row 29 after 29 runs: their 1710 products and steps
+        # exceed the recurrence's 435 on columns 0..28, so the recurrence
+        # takes all 465, plus 1, in 2 words
+        (HeightBounds.from_rows(range(30), (0,) * 29 + (1,)), 932),
         # one level run is one binomial
         (HeightBounds.from_rows((5,) * 3, (0,) * 3), 1),
         # binom(400000, 200000) < 6^200000, 600000 bits in 9376 words, one
@@ -409,7 +461,8 @@ class TestDetCap:
         # series and one gap series of 1001, in 47 words, plus the
         # binomial at 47 * 2^3
         (staircase_bounds(1000, 500, 2), 2001 * 47 + 47 * 8),
-    ], ids=["staircase", "b-rises", "one-run", "words", "priced-binomial"])
+    ], ids=["staircase", "b-rises", "b-rises-late", "b-rises-after-many-runs", "one-run",
+            "words", "priced-binomial"])
     def test_estimate(self, bounds, estimate):
         check_det(bounds, max_volume=estimate)
         with pytest.raises(SearchCapExceeded, match="path determinant") as refused:
